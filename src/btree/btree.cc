@@ -113,12 +113,12 @@ void BTree::CancelBaseUpdate(Transaction* txn, BaseUpdateOp op,
 Status BTree::LowerSeparatorIfNeeded(Transaction* txn, const Slice& key) {
   TxnId id = txn->id();
   for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    std::vector<PageId> path;
-    Status s = FindPathPessimistic(id, key, /*for_insert=*/false, 0,
-                                   /*stop_level=*/1, &path);
+    Descent d{.access = Access::kExclusive, .stop_level = 1};
+    Status s = Descend(id, key, &d);
     if (s.IsDeadlock() || s.IsBusy()) continue;
     if (!s.ok()) return s;
-    PageId base = path.back();
+    std::vector<PageId>& path = d.path;
+    PageId base = d.pid;
 
     Page* page;
     s = bp_->FetchPage(base, &page);
@@ -223,167 +223,172 @@ Status BTree::UnlockPages(TxnId locker, std::vector<PageId>* pids) {
 // Descent
 // ---------------------------------------------------------------------------
 
-Status BTree::FindLeaf(TxnId locker, const Slice& key, LockMode leaf_mode,
-                       bool keep_base_lock, DescentResult* out) {
+Status BTree::Descend(TxnId locker, const Slice& key, Descent* d) {
+  const bool optimistic = d->access == Access::kOptimistic;
+  const bool exclusive = d->access == Access::kExclusive;
+  const LockMode couple = exclusive ? LockMode::kX : LockMode::kS;
   for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
+    const uint64_t inc = incarnation_.load();
     PageId cur = root_.load();
-    Status s = locks_->Lock(locker, PageLock(cur), LockMode::kS);
-    if (!s.ok()) return s;
-    if (cur != root_.load()) {  // root split raced us
-      locks_->Unlock(locker, PageLock(cur));
-      continue;
+    d->path.clear();
+    d->lo.clear();
+    d->hi.clear();
+    if (!optimistic) {
+      Status s = locks_->Lock(locker, PageLock(cur), couple);
+      if (!s.ok()) return s;
+      d->path.push_back(cur);
+      if (cur != root_.load()) {  // root split raced us
+        UnlockPages(locker, &d->path);
+        continue;
+      }
     }
-    bool retry_outer = false;
+    int slot = 0;           // kOptimistic: image slot holding `cur`
+    int parent_level = -1;  // -1 while `cur` is the root
     while (true) {
       Page* page;
-      s = bp_->FetchPage(cur, &page);
-      if (!s.ok()) {
-        locks_->Unlock(locker, PageLock(cur));
-        return s;
+      if (optimistic) {
+        Page* frame = bp_->FindResident(cur);
+        OptimisticPageGuard& g = d->images[slot];
+        // Not resident: the locked path faults it in. The mark check comes
+        // BEFORE the parent revalidation: a zero mark means any
+        // S-incompatible page lock on `cur` — and therefore any structure
+        // modification that touched it — was fully released (parent
+        // updated, root_ stored) before this load, so a stale parent image
+        // cannot pass the revalidation. At the root, a root split stores
+        // root_ before its X path locks release, so the mark check alone
+        // can miss it: re-check the pointer instead.
+        if (frame == nullptr || !g.Capture(frame, cur) ||
+            locks_->PageSharedReadBlocked(cur) ||
+            (parent_level < 0 ? root_.load() != cur
+                              : !d->images[1 - slot].Revalidate())) {
+          return Status::Busy();
+        }
+        page = g.page();
+        // A validated image of a recycled frame, or a torn routing chain,
+        // shows as a node of the wrong type or level.
+        uint8_t level = page->level();
+        PageType want = level == 0 ? PageType::kLeaf : PageType::kInternal;
+        if (page->type() != want ||
+            (parent_level < 0 ? level == 0 : level + 1 != parent_level)) {
+          return Status::Busy();
+        }
+      } else {
+        Status s = bp_->FetchPage(cur, &page);
+        if (!s.ok()) {
+          UnlockPages(locker, &d->path);
+          return s;
+        }
       }
-      PageId child;
-      uint8_t level;
-      std::string child_sep;
-      {
-        std::shared_lock<PageLatch> latch(page->latch());
-        InternalNode node(page);
-        level = page->level();
-        int idx = node.FindChild(key);
-        child = node.ChildAt(idx);
-        if (level == 1) child_sep = node.KeyAt(idx).ToString();
-      }
-      bp_->UnpinPage(cur, false);
 
-      if (level == 1) {
-        // `cur` is the base page; `child` is the target leaf.
-        s = locks_->Lock(locker, PageLock(child), leaf_mode);
+      uint8_t level;
+      PageId child = kInvalidPageId;
+      bool safe = false;
+      {
+        std::shared_lock<PageLatch> latch(page->latch(), std::defer_lock);
+        if (!optimistic) latch.lock();
+        level = page->level();
+        if (exclusive) {
+          // Safety (Bayer-Schkolnick): can this node absorb the pending
+          // modification without changing its parent?
+          if (level == 0) {
+            LeafNode ln(page);
+            safe = d->insert_bytes > 0 ? ln.FreeSpace() >= d->insert_bytes
+                                       : ln.Count() > 1;
+          } else {
+            InternalNode in(page);
+            safe = d->insert_bytes > 0
+                       ? in.FreeSpace() >= InternalNode::CellSize(key) + 16
+                       : in.Count() > 1;
+          }
+        }
+        if (level != d->stop_level) {
+          InternalNode node(page);
+          int n = node.Count();
+          int idx = node.FindChild(key);
+          child = n > 0 ? node.ChildAt(idx) : kInvalidPageId;
+          if (optimistic && (child == kInvalidPageId || child == cur)) {
+            return Status::Busy();
+          }
+          if (d->range) {
+            // The child's range: slot 0 inherits this node's lo (FindChild
+            // clamps keys below it there); the last slot inherits its hi.
+            Slice sep = node.KeyAt(idx);
+            if (idx > 0) d->lo.assign(sep.data(), sep.size());
+            if (idx + 1 < n) {
+              Slice next = node.KeyAt(idx + 1);
+              d->hi.assign(next.data(), next.size());
+            }
+            if (level == d->stop_level + 1) {
+              d->separator.assign(sep.data(), sep.size());
+            }
+          }
+        }
+      }
+      if (!optimistic) bp_->UnpinPage(cur, false);
+
+      if (safe && d->path.size() > 1) {
+        // Nothing above a safe node can change: release the ancestors.
+        for (size_t i = 0; i + 1 < d->path.size(); ++i) {
+          locks_->Unlock(locker, PageLock(d->path[i]));
+        }
+        d->path.erase(d->path.begin(), d->path.end() - 1);
+      }
+
+      if (level == d->stop_level) {
+        if (!optimistic && !exclusive && parent_level < 0 &&
+            d->stop_mode != couple) {
+          // The root is the stop node: convert its coupling lock.
+          Status s = locks_->Lock(locker, PageLock(cur), d->stop_mode);
+          if (!s.ok()) {
+            UnlockPages(locker, &d->path);
+            return s;
+          }
+        }
+        if (incarnation_.load() != inc) {
+          // The switch flipped the root mid-descent. Under the step-aside
+          // protocol new-tree base updates can land before the old tree
+          // has drained, so a descent routed through old internal pages
+          // may have reached a page whose keys were since split off to the
+          // right. The stop node's lock is granted, so nothing can move
+          // now — but the routing may already be stale.
+          if (optimistic) return Status::Busy();
+          UnlockPages(locker, &d->path);
+          break;
+        }
+        d->pid = cur;
+        if (optimistic) d->image = page;
+        return Status::OK();
+      }
+
+      if (!optimistic) {
+        LockMode mode =
+            !exclusive && level == d->stop_level + 1 ? d->stop_mode : couple;
+        Status s = locks_->Lock(locker, PageLock(child), mode);
         if (s.IsBackoff()) {
-          // Paper protocol: give up the base-page S lock, wait out the
-          // reorganizer with an unconditional instant-duration RS lock on
-          // the base page, then retry the whole traversal.
-          locks_->Unlock(locker, PageLock(cur));
+          // Paper protocol: give up the locks, wait out the reorganizer
+          // with an unconditional instant-duration RS lock on the parent
+          // (the base page), then retry the whole descent.
+          UnlockPages(locker, &d->path);
           Status rs = locks_->LockInstant(locker, PageLock(cur), LockMode::kRS);
           if (!rs.ok()) return rs;
-          retry_outer = true;
           break;
         }
         if (!s.ok()) {
-          locks_->Unlock(locker, PageLock(cur));
+          UnlockPages(locker, &d->path);
           return s;
         }
-        out->leaf = child;
-        out->base = cur;
-        out->base_locked = keep_base_lock;
-        out->leaf_separator = std::move(child_sep);
-        if (!keep_base_lock) locks_->Unlock(locker, PageLock(cur));
-        return Status::OK();
+        if (!exclusive) {
+          locks_->Unlock(locker, PageLock(cur));
+          d->path.clear();
+        }
+        d->path.push_back(child);
       }
-
-      // Internal level > 1: S lock-couple downward.
-      s = locks_->Lock(locker, PageLock(child), LockMode::kS);
-      if (!s.ok()) {
-        locks_->Unlock(locker, PageLock(cur));
-        return s;
-      }
-      locks_->Unlock(locker, PageLock(cur));
+      parent_level = level;
+      slot = 1 - slot;
       cur = child;
     }
-    if (retry_outer) continue;
   }
   return Status::Busy("descent retries exhausted");
-}
-
-Status BTree::FindLeafPessimistic(TxnId locker, const Slice& key,
-                                  bool for_insert, size_t need_bytes,
-                                  std::vector<PageId>* locked_path) {
-  return FindPathPessimistic(locker, key, for_insert, need_bytes,
-                             /*stop_level=*/0, locked_path);
-}
-
-Status BTree::FindPathPessimistic(TxnId locker, const Slice& key,
-                                  bool for_insert, size_t need_bytes,
-                                  uint8_t stop_level,
-                                  std::vector<PageId>* locked_path) {
-  locked_path->clear();
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    PageId cur = root_.load();
-    Status s = locks_->Lock(locker, PageLock(cur), LockMode::kX);
-    if (!s.ok()) return s;
-    if (cur != root_.load()) {
-      locks_->Unlock(locker, PageLock(cur));
-      continue;
-    }
-    locked_path->push_back(cur);
-    bool retry_outer = false;
-
-    while (true) {
-      Page* page;
-      s = bp_->FetchPage(cur, &page);
-      if (!s.ok()) {
-        UnlockPages(locker, locked_path);
-        return s;
-      }
-      uint8_t level = page->level();
-
-      // Safety check (Bayer-Scholnick): release ancestors above a node that
-      // cannot propagate the structure modification.
-      bool safe;
-      {
-        std::shared_lock<PageLatch> latch(page->latch());
-        if (page->type() == PageType::kLeaf) {
-          LeafNode ln(page);
-          safe = for_insert ? ln.FreeSpace() >= need_bytes : ln.Count() > 1;
-        } else {
-          InternalNode in(page);
-          safe = for_insert
-                     ? in.FreeSpace() >= InternalNode::CellSize(key) + 16
-                     : in.Count() > 1;
-        }
-      }
-      if (safe && locked_path->size() > 1) {
-        // Unlock everything above `cur`.
-        for (size_t i = 0; i + 1 < locked_path->size(); ++i) {
-          locks_->Unlock(locker, PageLock((*locked_path)[i]));
-        }
-        PageId keep = locked_path->back();
-        locked_path->clear();
-        locked_path->push_back(keep);
-      }
-
-      if (level == stop_level) {
-        bp_->UnpinPage(cur, false);
-        return Status::OK();
-      }
-
-      PageId child;
-      {
-        std::shared_lock<PageLatch> latch(page->latch());
-        InternalNode node(page);
-        child = node.ChildAt(node.FindChild(key));
-      }
-      bp_->UnpinPage(cur, false);
-
-      s = locks_->Lock(locker, PageLock(child), LockMode::kX);
-      if (s.IsBackoff()) {
-        // Leaf under RX: updater protocol — drop everything, RS-wait on the
-        // base page (== cur), retry the traversal.
-        PageId base = locked_path->back();
-        UnlockPages(locker, locked_path);
-        Status rs = locks_->LockInstant(locker, PageLock(base), LockMode::kRS);
-        if (!rs.ok()) return rs;
-        retry_outer = true;
-        break;
-      }
-      if (!s.ok()) {
-        UnlockPages(locker, locked_path);
-        return s;
-      }
-      locked_path->push_back(child);
-      cur = child;
-    }
-    if (retry_outer) continue;
-  }
-  return Status::Busy("pessimistic descent retries exhausted");
 }
 
 // ---------------------------------------------------------------------------
@@ -430,31 +435,24 @@ Status BTree::Insert(Transaction* txn, const Slice& key, const Slice& value) {
   }
 
   for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    uint64_t seen = incarnation_.load();
-    DescentResult r;
-    s = FindLeaf(id, key, LockMode::kX, /*keep_base_lock=*/false, &r);
+    Descent r{.access = Access::kShared, .stop_mode = LockMode::kX};
+    s = Descend(id, key, &r);
     if (!s.ok()) return s;
-    if (incarnation_.load() != seen) {
-      // Root flipped mid-descent (§7.4 step-aside): the old-tree routing
-      // that picked this leaf may be stale. Re-descend via the new root.
-      locks_->Unlock(id, PageLock(r.leaf));
-      continue;
-    }
 
-    if (key.compare(r.leaf_separator) < 0) {
+    if (key.compare(r.separator) < 0) {
       // The key is below its leaf's separator (reachable only via slot-0
       // clamping). Lower the separator first so separators stay exact —
       // pass 3's flat rebuild depends on it.
-      locks_->Unlock(id, PageLock(r.leaf));
+      locks_->Unlock(id, PageLock(r.pid));
       s = LowerSeparatorIfNeeded(txn, key);
       if (!s.ok()) return s;
       continue;
     }
 
     Page* leaf_page;
-    s = bp_->FetchPage(r.leaf, &leaf_page);
+    s = bp_->FetchPage(r.pid, &leaf_page);
     if (!s.ok()) {
-      locks_->Unlock(id, PageLock(r.leaf));
+      locks_->Unlock(id, PageLock(r.pid));
       return s;
     }
     bool fits;
@@ -466,8 +464,8 @@ Status BTree::Insert(Transaction* txn, const Slice& key, const Slice& value) {
       fits = ln.FreeSpace() >= need;
     }
     if (exact) {
-      bp_->UnpinPage(r.leaf, false);
-      locks_->Unlock(id, PageLock(r.leaf));
+      bp_->UnpinPage(r.pid, false);
+      locks_->Unlock(id, PageLock(r.pid));
       return Status::InvalidArgument("duplicate key");
     }
     if (fits) {
@@ -477,28 +475,22 @@ Status BTree::Insert(Transaction* txn, const Slice& key, const Slice& value) {
         LeafNode ln(leaf_page);
         s = ln.Insert(key, value);
         if (s.ok()) {
-          s = LogRecordOp(txn, LogType::kInsert, r.leaf, key, Slice(), value,
+          s = LogRecordOp(txn, LogType::kInsert, r.pid, key, Slice(), value,
                           leaf_page);
         }
       }
-      bp_->UnpinPage(r.leaf, s.ok());
-      if (!s.ok()) locks_->Unlock(id, PageLock(r.leaf));
+      bp_->UnpinPage(r.pid, s.ok());
+      if (!s.ok()) locks_->Unlock(id, PageLock(r.pid));
       return s;  // leaf X lock retained until commit/abort
     }
-    bp_->UnpinPage(r.leaf, false);
-    locks_->Unlock(id, PageLock(r.leaf));
+    bp_->UnpinPage(r.pid, false);
+    locks_->Unlock(id, PageLock(r.pid));
 
     // Leaf is full: pessimistic descent + split.
-    std::vector<PageId> path;
-    s = FindLeafPessimistic(id, key, /*for_insert=*/true, need, &path);
+    Descent x{.access = Access::kExclusive, .insert_bytes = need};
+    s = Descend(id, key, &x);
     if (!s.ok()) return s;
-    if (incarnation_.load() != seen) {
-      // The descent may have been blocked across an entire switch (§7.4); a
-      // split along a superseded path would put the separator in the old
-      // tree's base, invisible to the new tree. Re-descend via the new root.
-      UnlockPages(id, &path);
-      continue;
-    }
+    std::vector<PageId>& path = x.path;
 
     s = bp_->FetchPage(path.back(), &leaf_page);
     if (!s.ok()) {
@@ -807,13 +799,15 @@ Status BTree::SplitLeaf(Transaction* txn, const std::vector<PageId>& path,
                        parent_pid);
   if (s.IsBusy()) {
     // The tree switched: the separator belongs in the NEW tree's base level.
-    s = FindPathPessimistic(id, separator, /*for_insert=*/true,
-                            InternalNode::CellSize(separator) + 16,
-                            /*stop_level=*/1, &redirected_path);
+    Descent d{.access = Access::kExclusive,
+              .stop_level = 1,
+              .insert_bytes = InternalNode::CellSize(separator) + 16};
+    s = Descend(id, separator, &d);
     if (!s.ok()) {
       abandon_new();
       return s;
     }
+    redirected_path = std::move(d.path);
     parent_path = redirected_path;
     sep_node = redirected_path.back();
     Status hs = NotifyBaseUpdate(txn, BaseUpdateOp::kInsert, separator,
@@ -952,66 +946,57 @@ Status BTree::Update(Transaction* txn, const Slice& key, const Slice& value) {
   Status s = locks_->Lock(id, TreeLock(incarnation_.load()), LockMode::kIX);
   if (!s.ok()) return s;
 
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    uint64_t seen = incarnation_.load();
-    DescentResult r;
-    s = FindLeaf(id, key, LockMode::kX, /*keep_base_lock=*/false, &r);
-    if (!s.ok()) return s;
-    if (incarnation_.load() != seen) {
-      // Root flipped mid-descent (§7.4 step-aside): re-descend.
-      locks_->Unlock(id, PageLock(r.leaf));
-      continue;
-    }
+  Descent r{.access = Access::kShared, .stop_mode = LockMode::kX};
+  s = Descend(id, key, &r);
+  if (!s.ok()) return s;
 
-    Page* leaf_page;
-    s = bp_->FetchPage(r.leaf, &leaf_page);
-    if (!s.ok()) {
-      locks_->Unlock(id, PageLock(r.leaf));
-      return s;
-    }
-    bool exact;
-    int pos;
-    bool fits = false;
-    std::string old_value;
-    {
-      std::shared_lock<PageLatch> latch(leaf_page->latch());
-      LeafNode ln(leaf_page);
-      pos = ln.LowerBound(key, &exact);
-      if (exact) {
-        old_value = ln.ValueAt(pos).ToString();
-        size_t old_cell = LeafNode::CellSize(key, old_value);
-        size_t new_cell = LeafNode::CellSize(key, value);
-        fits = new_cell <= old_cell || ln.FreeSpace() >= new_cell - old_cell;
-      }
-    }
-    if (!exact) {
-      bp_->UnpinPage(r.leaf, false);
-      locks_->Unlock(id, PageLock(r.leaf));
-      return Status::NotFound("key not found");
-    }
-    if (fits) {
-      BufferPool::ApplyScope apply_scope(bp_);
-      {
-        std::unique_lock<PageLatch> latch(leaf_page->latch());
-        LeafNode ln(leaf_page);
-        s = ln.SetValueAt(pos, value);
-        if (s.ok()) {
-          s = LogRecordOp(txn, LogType::kUpdate, r.leaf, key, old_value,
-                          value, leaf_page);
-        }
-      }
-      bp_->UnpinPage(r.leaf, s.ok());
-      if (!s.ok()) locks_->Unlock(id, PageLock(r.leaf));
-      return s;
-    }
-    bp_->UnpinPage(r.leaf, false);
-    locks_->Unlock(id, PageLock(r.leaf));
-    // Grow-in-place impossible: delete + reinsert (handles the split).
-    s = Delete(txn, key);
-    if (!s.ok()) return s;
-    return Insert(txn, key, value);
+  Page* leaf_page;
+  s = bp_->FetchPage(r.pid, &leaf_page);
+  if (!s.ok()) {
+    locks_->Unlock(id, PageLock(r.pid));
+    return s;
   }
-  return Status::Busy("update retries exhausted");
+  bool exact;
+  int pos;
+  bool fits = false;
+  std::string old_value;
+  {
+    std::shared_lock<PageLatch> latch(leaf_page->latch());
+    LeafNode ln(leaf_page);
+    pos = ln.LowerBound(key, &exact);
+    if (exact) {
+      old_value = ln.ValueAt(pos).ToString();
+      size_t old_cell = LeafNode::CellSize(key, old_value);
+      size_t new_cell = LeafNode::CellSize(key, value);
+      fits = new_cell <= old_cell || ln.FreeSpace() >= new_cell - old_cell;
+    }
+  }
+  if (!exact) {
+    bp_->UnpinPage(r.pid, false);
+    locks_->Unlock(id, PageLock(r.pid));
+    return Status::NotFound("key not found");
+  }
+  if (fits) {
+    BufferPool::ApplyScope apply_scope(bp_);
+    {
+      std::unique_lock<PageLatch> latch(leaf_page->latch());
+      LeafNode ln(leaf_page);
+      s = ln.SetValueAt(pos, value);
+      if (s.ok()) {
+        s = LogRecordOp(txn, LogType::kUpdate, r.pid, key, old_value, value,
+                        leaf_page);
+      }
+    }
+    bp_->UnpinPage(r.pid, s.ok());
+    if (!s.ok()) locks_->Unlock(id, PageLock(r.pid));
+    return s;
+  }
+  bp_->UnpinPage(r.pid, false);
+  locks_->Unlock(id, PageLock(r.pid));
+  // Grow-in-place impossible: delete + reinsert (handles the split).
+  s = Delete(txn, key);
+  if (!s.ok()) return s;
+  return Insert(txn, key, value);
 }
 
 Status BTree::Delete(Transaction* txn, const Slice& key) {
@@ -1020,114 +1005,95 @@ Status BTree::Delete(Transaction* txn, const Slice& key) {
   Status s = locks_->Lock(id, TreeLock(incarnation_.load()), LockMode::kIX);
   if (!s.ok()) return s;
 
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    uint64_t seen = incarnation_.load();
-    DescentResult r;
-    s = FindLeaf(id, key, LockMode::kX, /*keep_base_lock=*/false, &r);
-    if (!s.ok()) return s;
-    if (incarnation_.load() != seen) {
-      // Root flipped mid-descent (§7.4 step-aside): re-descend.
-      locks_->Unlock(id, PageLock(r.leaf));
-      continue;
-    }
+  Descent r{.access = Access::kShared, .stop_mode = LockMode::kX};
+  s = Descend(id, key, &r);
+  if (!s.ok()) return s;
 
-    Page* leaf_page;
-    s = bp_->FetchPage(r.leaf, &leaf_page);
-    if (!s.ok()) {
-      locks_->Unlock(id, PageLock(r.leaf));
-      return s;
-    }
-    bool exact;
-    int pos;
-    int count;
-    std::string old_value;
-    {
-      std::shared_lock<PageLatch> latch(leaf_page->latch());
-      LeafNode ln(leaf_page);
-      pos = ln.LowerBound(key, &exact);
-      count = ln.Count();
-      if (exact) old_value = ln.ValueAt(pos).ToString();
-    }
-    if (!exact) {
-      bp_->UnpinPage(r.leaf, false);
-      locks_->Unlock(id, PageLock(r.leaf));
-      return Status::NotFound("key not found");
-    }
-    if (count > 1) {
-      BufferPool::ApplyScope apply_scope(bp_);
-      {
-        std::unique_lock<PageLatch> latch(leaf_page->latch());
-        LeafNode ln(leaf_page);
-        ln.RemoveAt(pos);
-        s = LogRecordOp(txn, LogType::kDelete, r.leaf, key, old_value,
-                        Slice(), leaf_page);
-      }
-      bp_->UnpinPage(r.leaf, s.ok());
-      if (!s.ok()) locks_->Unlock(id, PageLock(r.leaf));
-      return s;
-    }
-    bp_->UnpinPage(r.leaf, false);
-    locks_->Unlock(id, PageLock(r.leaf));
-
-    // The leaf would become empty: free-at-empty path with X-coupled
-    // ancestors (paper §2 / [JS93]).
-    std::vector<PageId> path;
-    s = FindLeafPessimistic(id, key, /*for_insert=*/false, 0, &path);
-    if (!s.ok()) return s;
-    if (incarnation_.load() != seen) {
-      // Blocked across a switch (§7.4): unlinking along a superseded path
-      // would remove the separator from the old tree's base only. Re-descend.
-      UnlockPages(id, &path);
-      continue;
-    }
-
-    s = bp_->FetchPage(path.back(), &leaf_page);
-    if (!s.ok()) {
-      UnlockPages(id, &path);
-      return s;
-    }
-    bool exact2;
-    int pos2;
-    int count2;
-    {
-      std::shared_lock<PageLatch> latch(leaf_page->latch());
-      LeafNode ln(leaf_page);
-      pos2 = ln.LowerBound(key, &exact2);
-      count2 = ln.Count();
-      if (exact2) old_value = ln.ValueAt(pos2).ToString();
-    }
-    if (!exact2) {
-      bp_->UnpinPage(path.back(), false);
-      UnlockPages(id, &path);
-      return Status::NotFound("key vanished during retry");
-    }
-    {
-      BufferPool::ApplyScope apply_scope(bp_);
-      {
-        std::unique_lock<PageLatch> latch(leaf_page->latch());
-        LeafNode ln(leaf_page);
-        ln.RemoveAt(pos2);
-        s = LogRecordOp(txn, LogType::kDelete, path.back(), key, old_value,
-                        Slice(), leaf_page);
-      }
-      bp_->UnpinPage(path.back(), s.ok());
-    }
-    if (!s.ok()) {
-      UnlockPages(id, &path);
-      return s;
-    }
-    if (count2 == 1) {
-      // Free-at-empty. A failure here is benign: the empty leaf simply
-      // stays linked until a later pass removes it.
-      FreeEmptyLeaf(txn, path);
-    }
-    PageId leaf_kept = path.back();
-    path.pop_back();
-    UnlockPages(id, &path);
-    (void)leaf_kept;  // leaf X lock retained until commit/abort
-    return Status::OK();
+  Page* leaf_page;
+  s = bp_->FetchPage(r.pid, &leaf_page);
+  if (!s.ok()) {
+    locks_->Unlock(id, PageLock(r.pid));
+    return s;
   }
-  return Status::Busy("delete retries exhausted");
+  bool exact;
+  int pos;
+  int count;
+  std::string old_value;
+  {
+    std::shared_lock<PageLatch> latch(leaf_page->latch());
+    LeafNode ln(leaf_page);
+    pos = ln.LowerBound(key, &exact);
+    count = ln.Count();
+    if (exact) old_value = ln.ValueAt(pos).ToString();
+  }
+  if (!exact) {
+    bp_->UnpinPage(r.pid, false);
+    locks_->Unlock(id, PageLock(r.pid));
+    return Status::NotFound("key not found");
+  }
+  if (count > 1) {
+    BufferPool::ApplyScope apply_scope(bp_);
+    {
+      std::unique_lock<PageLatch> latch(leaf_page->latch());
+      LeafNode ln(leaf_page);
+      ln.RemoveAt(pos);
+      s = LogRecordOp(txn, LogType::kDelete, r.pid, key, old_value, Slice(),
+                      leaf_page);
+    }
+    bp_->UnpinPage(r.pid, s.ok());
+    if (!s.ok()) locks_->Unlock(id, PageLock(r.pid));
+    return s;
+  }
+  bp_->UnpinPage(r.pid, false);
+  locks_->Unlock(id, PageLock(r.pid));
+
+  // The leaf would become empty: free-at-empty path with X-coupled
+  // ancestors (paper §2 / [JS93]).
+  Descent x{.access = Access::kExclusive};
+  s = Descend(id, key, &x);
+  if (!s.ok()) return s;
+  std::vector<PageId>& path = x.path;
+
+  s = bp_->FetchPage(path.back(), &leaf_page);
+  if (!s.ok()) {
+    UnlockPages(id, &path);
+    return s;
+  }
+  {
+    std::shared_lock<PageLatch> latch(leaf_page->latch());
+    LeafNode ln(leaf_page);
+    pos = ln.LowerBound(key, &exact);
+    count = ln.Count();
+    if (exact) old_value = ln.ValueAt(pos).ToString();
+  }
+  if (!exact) {
+    bp_->UnpinPage(path.back(), false);
+    UnlockPages(id, &path);
+    return Status::NotFound("key vanished during retry");
+  }
+  {
+    BufferPool::ApplyScope apply_scope(bp_);
+    {
+      std::unique_lock<PageLatch> latch(leaf_page->latch());
+      LeafNode ln(leaf_page);
+      ln.RemoveAt(pos);
+      s = LogRecordOp(txn, LogType::kDelete, path.back(), key, old_value,
+                      Slice(), leaf_page);
+    }
+    bp_->UnpinPage(path.back(), s.ok());
+  }
+  if (!s.ok()) {
+    UnlockPages(id, &path);
+    return s;
+  }
+  if (count == 1) {
+    // Free-at-empty. A failure here is benign: the empty leaf simply
+    // stays linked until a later pass removes it.
+    FreeEmptyLeaf(txn, path);
+  }
+  path.pop_back();  // leaf X lock retained until commit/abort
+  UnlockPages(id, &path);
+  return Status::OK();
 }
 
 Status BTree::FreeEmptyLeaf(Transaction* txn, const std::vector<PageId>& path) {
@@ -1182,10 +1148,11 @@ Status BTree::FreeEmptyLeaf(Transaction* txn, const std::vector<PageId>& path) {
   PageId sep_parent = parent_pid;
   std::vector<PageId> redirected;
   if (s.IsBusy()) {
-    s = FindPathPessimistic(id, separator, /*for_insert=*/false, 0,
-                            /*stop_level=*/1, &redirected);
+    Descent d{.access = Access::kExclusive, .stop_level = 1};
+    s = Descend(id, separator, &d);
     if (!s.ok()) return s;
-    sep_parent = redirected.back();
+    redirected = std::move(d.path);
+    sep_parent = d.pid;
     Status hs = NotifyBaseUpdate(txn, BaseUpdateOp::kDelete, separator,
                                  leaf_pid, sep_parent);
     if (!hs.ok()) {
@@ -1327,66 +1294,13 @@ Status BTree::FreeEmptyLeaf(Transaction* txn, const std::vector<PageId>& path) {
 // Reads
 // ---------------------------------------------------------------------------
 
-bool BTree::OptimisticDescend(const Slice& key, OptimisticDescent* out) {
-  uint64_t inc = incarnation_.load();
-  PageId cur = root_.load();
-  int cur_slot = 0;
-  int parent_slot = -1;
-  // Bounded well past any real height: a torn routing chain must not loop.
-  for (int depth = 0; depth < 20; ++depth) {
-    Page* frame = bp_->FindResident(cur);
-    if (frame == nullptr) return false;  // not resident: S-lock path faults it
-    OptimisticPageGuard& g = out->slots[cur_slot];
-    if (!g.Capture(frame, cur)) return false;
-    // Mark check BEFORE parent revalidation: a zero mark here means any
-    // S-incompatible page lock on `cur` — and therefore any structure
-    // modification that touched it — was fully released (parent updated,
-    // root_ stored) before this load, so a stale parent image cannot pass
-    // the revalidation below. A post-modification parent routes correctly.
-    if (locks_->PageSharedReadBlocked(cur)) return false;
-    if (parent_slot < 0) {
-      // Root level: a root split stores root_ before its X path locks
-      // release, so the mark check alone can miss it. Re-check the pointer.
-      if (root_.load() != cur) return false;
-    } else if (!out->slots[parent_slot].Revalidate()) {
-      return false;
-    }
-    Page* img = g.page();
-    if (img->type() == PageType::kLeaf) {
-      if (out->base_slot < 0) return false;  // routed here without a base?
-      out->leaf_slot = cur_slot;
-      out->leaf_pid = cur;
-      out->incarnation = inc;
-      // Step-aside switch staleness: under §7.4 the new tree can absorb
-      // base updates before the old tree drains, so a descent that started
-      // on the old root may reach a leaf whose keys moved. Same re-check
-      // the locked Get performs after its descent.
-      return incarnation_.load() == inc;
-    }
-    if (img->type() != PageType::kInternal) return false;  // recycled frame
-    InternalNode node(img);
-    if (node.Count() <= 0) return false;
-    int idx = node.FindChild(key);
-    PageId child = node.ChildAt(idx);
-    if (child == kInvalidPageId || child == cur) return false;
-    if (img->level() == 1) {
-      out->base_slot = cur_slot;
-      out->base_pid = cur;
-      out->leaf_separator = node.KeyAt(idx).ToString();
-    }
-    parent_slot = cur_slot;
-    cur_slot = 1 - cur_slot;
-    cur = child;
-  }
-  return false;
-}
-
 bool BTree::TryGetOptimistic(const Slice& key, std::string* value,
                              bool* found) {
+  OptimisticPageGuard images[2];
+  Descent d{.access = Access::kOptimistic, .images = images, .range = false};
   for (int attempt = 0; attempt < options_.optimistic_restarts; ++attempt) {
-    OptimisticDescent d;
-    if (!OptimisticDescend(key, &d)) continue;
-    LeafNode ln(d.leaf_image());
+    if (!Descend(kInvalidTxnId, key, &d).ok()) continue;
+    LeafNode ln(d.image);
     bool exact;
     int pos = ln.LowerBound(key, &exact);
     if (exact) *value = ln.ValueAt(pos).ToString();
@@ -1425,47 +1339,32 @@ Status BTree::Get(Transaction* txn, const Slice& key, std::string* value) {
     if (ephemeral) locks_->Unlock(id, TreeLock(inc));
   };
 
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    uint64_t seen = incarnation_.load();
-    DescentResult r;
-    s = FindLeaf(id, key, LockMode::kS, /*keep_base_lock=*/false, &r);
-    if (!s.ok()) {
-      cleanup_tree();
-      return s;
-    }
-    if (incarnation_.load() != seen) {
-      // The switch flipped the root mid-descent. Under the step-aside
-      // protocol new-tree base updates can land before the old tree has
-      // drained, so a descent routed through old internal pages may have
-      // reached a leaf whose keys were since split off to the right. The
-      // leaf lock is granted, so nothing can move now — but the routing
-      // may already be stale; re-descend via the (new) root.
-      locks_->Unlock(id, PageLock(r.leaf));
-      continue;
-    }
-    Page* leaf_page;
-    s = bp_->FetchPage(r.leaf, &leaf_page);
-    if (!s.ok()) {
-      locks_->Unlock(id, PageLock(r.leaf));
-      cleanup_tree();
-      return s;
-    }
-    bool exact;
-    {
-      std::shared_lock<PageLatch> latch(leaf_page->latch());
-      LeafNode ln(leaf_page);
-      int pos = ln.LowerBound(key, &exact);
-      if (exact) *value = ln.ValueAt(pos).ToString();
-    }
-    bp_->UnpinPage(r.leaf, false);
-    if (ephemeral) {
-      locks_->Unlock(id, PageLock(r.leaf));
-      cleanup_tree();
-    }
-    return exact ? Status::OK() : Status::NotFound("key not found");
+  Descent d;
+  s = Descend(id, key, &d);
+  if (!s.ok()) {
+    cleanup_tree();
+    return s;
   }
-  cleanup_tree();
-  return Status::Busy("get retries exhausted");
+  Page* leaf_page;
+  s = bp_->FetchPage(d.pid, &leaf_page);
+  if (!s.ok()) {
+    locks_->Unlock(id, PageLock(d.pid));
+    cleanup_tree();
+    return s;
+  }
+  bool exact;
+  {
+    std::shared_lock<PageLatch> latch(leaf_page->latch());
+    LeafNode ln(leaf_page);
+    int pos = ln.LowerBound(key, &exact);
+    if (exact) *value = ln.ValueAt(pos).ToString();
+  }
+  bp_->UnpinPage(d.pid, false);
+  if (ephemeral) {
+    locks_->Unlock(id, PageLock(d.pid));
+    cleanup_tree();
+  }
+  return exact ? Status::OK() : Status::NotFound("key not found");
 }
 
 Status BTree::Scan(Transaction* txn, const Slice& lo, const Slice& hi,
@@ -1485,178 +1384,6 @@ Status BTree::Scan(Transaction* txn, const Slice& lo, const Slice& hi,
 // ---------------------------------------------------------------------------
 // Reorganizer integration
 // ---------------------------------------------------------------------------
-
-Status BTree::LockBasePage(TxnId locker, const Slice& key, LockMode mode,
-                           PageId* base_pid, PageGuard* guard) {
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    PageId cur = root_.load();
-    Status s = locks_->Lock(locker, PageLock(cur), LockMode::kS);
-    if (!s.ok()) return s;
-    if (cur != root_.load()) {
-      locks_->Unlock(locker, PageLock(cur));
-      continue;
-    }
-    while (true) {
-      Page* page;
-      s = bp_->FetchPage(cur, &page);
-      if (!s.ok()) {
-        locks_->Unlock(locker, PageLock(cur));
-        return s;
-      }
-      if (page->level() == 1) {
-        // Convert the S lock to the requested mode (R for the reorganizer,
-        // X for the tree builder's catch-up, etc.).
-        if (mode != LockMode::kS) {
-          s = locks_->Lock(locker, PageLock(cur), mode);
-          if (!s.ok()) {
-            bp_->UnpinPage(cur, false);
-            locks_->Unlock(locker, PageLock(cur));
-            return s;
-          }
-        }
-        *base_pid = cur;
-        *guard = PageGuard(bp_, page);
-        return Status::OK();
-      }
-      PageId child;
-      {
-        std::shared_lock<PageLatch> latch(page->latch());
-        InternalNode node(page);
-        child = node.ChildAt(node.FindChild(key));
-      }
-      bp_->UnpinPage(cur, false);
-      s = locks_->Lock(locker, PageLock(child), LockMode::kS);
-      if (!s.ok()) {
-        locks_->Unlock(locker, PageLock(cur));
-        return s;
-      }
-      locks_->Unlock(locker, PageLock(cur));
-      cur = child;
-    }
-  }
-  return Status::Busy("base-page descent retries exhausted");
-}
-
-Status BTree::FirstBasePage(TxnId locker, std::string* low_mark,
-                            PageId* base_pid) {
-  // Follow the leftmost pointers (§7.1).
-  PageId cur = root_.load();
-  Status s = locks_->Lock(locker, PageLock(cur), LockMode::kS);
-  if (!s.ok()) return s;
-  while (true) {
-    Page* page;
-    s = bp_->FetchPage(cur, &page);
-    if (!s.ok()) {
-      locks_->Unlock(locker, PageLock(cur));
-      return s;
-    }
-    uint8_t level = page->level();
-    if (level == 1) {
-      InternalNode node(page);
-      *low_mark = node.LowMark().ToString();
-      *base_pid = cur;
-      bp_->UnpinPage(cur, false);
-      locks_->Unlock(locker, PageLock(cur));
-      return Status::OK();
-    }
-    PageId child;
-    {
-      std::shared_lock<PageLatch> latch(page->latch());
-      InternalNode node(page);
-      child = node.ChildAt(0);
-    }
-    bp_->UnpinPage(cur, false);
-    s = locks_->Lock(locker, PageLock(child), LockMode::kS);
-    if (!s.ok()) {
-      locks_->Unlock(locker, PageLock(cur));
-      return s;
-    }
-    locks_->Unlock(locker, PageLock(cur));
-    cur = child;
-  }
-}
-
-Status BTree::NextBasePage(TxnId locker, const Slice& key,
-                           std::string* low_mark, PageId* base_pid) {
-  // Height-2 special case: the root is the only base page.
-  PageId root_pid = root_.load();
-  Status s = locks_->Lock(locker, PageLock(root_pid), LockMode::kS);
-  if (!s.ok()) return s;
-  Page* root_page;
-  s = bp_->FetchPage(root_pid, &root_page);
-  if (!s.ok()) {
-    locks_->Unlock(locker, PageLock(root_pid));
-    return s;
-  }
-  if (root_page->level() == 1) {
-    bp_->UnpinPage(root_pid, false);
-    locks_->Unlock(locker, PageLock(root_pid));
-    return Status::NotFound("single base page");
-  }
-  bp_->UnpinPage(root_pid, false);
-  s = NextBaseIn(locker, root_pid, key, low_mark, base_pid);
-  locks_->Unlock(locker, PageLock(root_pid));
-  return s;
-}
-
-Status BTree::NextBaseIn(TxnId locker, PageId node_pid, const Slice& key,
-                         std::string* low_mark, PageId* base_pid) {
-  // Precondition: node_pid is S-locked by locker and has level >= 2.
-  Page* page;
-  Status s = bp_->FetchPage(node_pid, &page);
-  if (!s.ok()) return s;
-  int count;
-  uint8_t level;
-  {
-    std::shared_lock<PageLatch> latch(page->latch());
-    InternalNode node(page);
-    count = node.Count();
-    level = page->level();
-  }
-  int start;
-  {
-    std::shared_lock<PageLatch> latch(page->latch());
-    InternalNode node(page);
-    start = node.FindChild(key);
-  }
-  for (int i = start; i < count; ++i) {
-    Slice sep;
-    PageId child;
-    {
-      std::shared_lock<PageLatch> latch(page->latch());
-      InternalNode node(page);
-      sep = node.KeyAt(i);
-      child = node.ChildAt(i);
-      if (level == 2) {
-        if (sep.compare(key) > 0) {
-          *low_mark = sep.ToString();
-          *base_pid = child;
-          bp_->UnpinPage(node_pid, false);
-          return Status::OK();
-        }
-        continue;
-      }
-    }
-    // level > 2: recurse.
-    s = locks_->Lock(locker, PageLock(child), LockMode::kS);
-    if (!s.ok()) {
-      bp_->UnpinPage(node_pid, false);
-      return s;
-    }
-    s = NextBaseIn(locker, child, key, low_mark, base_pid);
-    locks_->Unlock(locker, PageLock(child));
-    if (s.ok()) {
-      bp_->UnpinPage(node_pid, false);
-      return s;
-    }
-    if (!s.IsNotFound()) {
-      bp_->UnpinPage(node_pid, false);
-      return s;
-    }
-  }
-  bp_->UnpinPage(node_pid, false);
-  return Status::NotFound("no next base page");
-}
 
 Status BTree::SwitchRoot(PageId new_root, uint8_t new_height,
                          uint64_t new_incarnation) {
@@ -1708,16 +1435,17 @@ Status BTree::CollectInternalPages(PageId from_root,
 Status BTree::CollectBasePages(std::vector<PageId>* bases) {
   bases->clear();
   TxnId id = NewEphemeralId();
-  std::string lm;
-  PageId pid;
-  Status s = FirstBasePage(id, &lm, &pid);
-  if (!s.ok()) return s;
-  bases->push_back(pid);
+  std::string from;  // -infinity: §7.1 "follow the leftmost pointers"
   while (true) {
-    s = NextBasePage(id, lm, &lm, &pid);
-    if (s.IsNotFound()) return Status::OK();
+    Descent d{.access = Access::kShared, .stop_level = 1};
+    Status s = Descend(id, from, &d);
     if (!s.ok()) return s;
-    bases->push_back(pid);
+    locks_->Unlock(id, PageLock(d.pid));
+    // A page whose right neighbour was freed meanwhile covers its old upper
+    // bound too: list it once.
+    if (bases->empty() || bases->back() != d.pid) bases->push_back(d.pid);
+    if (d.hi.empty()) return Status::OK();
+    from = std::move(d.hi);
   }
 }
 
@@ -1868,13 +1596,16 @@ Status BTree::BaseApply(Transaction* txn, BaseUpdateOp op, const Slice& key,
                         PageId leaf, bool* already_applied) {
   TxnId id = txn->id();
   for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
-    std::vector<PageId> path;
-    Status s = FindPathPessimistic(id, key, op == BaseUpdateOp::kInsert,
-                                   InternalNode::CellSize(key) + 16,
-                                   /*stop_level=*/1, &path);
+    Descent d{.access = Access::kExclusive,
+              .stop_level = 1,
+              .insert_bytes = op == BaseUpdateOp::kInsert
+                                  ? InternalNode::CellSize(key) + 16
+                                  : 0};
+    Status s = Descend(id, key, &d);
     if (s.IsDeadlock() || s.IsBusy()) continue;  // reorganizer lost; retry
     if (!s.ok()) return s;
-    PageId base = path.back();
+    std::vector<PageId>& path = d.path;
+    PageId base = d.pid;
 
     if (op == BaseUpdateOp::kInsert) {
       // Duplicate tolerance: under the base page's X lock, an exact
@@ -1892,12 +1623,42 @@ Status BTree::BaseApply(Transaction* txn, BaseUpdateOp op, const Slice& key,
         std::shared_lock<PageLatch> latch(base_page->latch());
         InternalNode node(base_page);
         node.LowerBound(key, &present);
+        // A slot-0 leaf that already covers `key` by clamping: in effect too.
+        present = present || node.ChildAt(node.FindChild(key)) == leaf;
       }
       bp_->UnpinPage(base, false);
       if (present) {
         UnlockPages(id, &path);
         if (already_applied) *already_applied = true;
         return Status::OK();
+      }
+      // The old tree routes keys below a base page's slot-0 separator to
+      // that slot by clamping, and lowers the separator when one arrives.
+      // Replayed here, the lowered separator can fall below a base-page
+      // boundary of this tree while the leaf's other keys lie above it: move
+      // the boundary down to `key`, so the leaf's whole range lands in the
+      // page that follows.
+      bool reaches = false;
+      if (!d.hi.empty()) {
+        Page* leaf_page;
+        s = bp_->FetchPage(leaf, &leaf_page);
+        if (!s.ok()) {
+          UnlockPages(id, &path);
+          return s;
+        }
+        {
+          std::shared_lock<PageLatch> latch(leaf_page->latch());
+          LeafNode ln(leaf_page);
+          reaches = ln.Count() > 0 &&
+                    ln.KeyAt(ln.Count() - 1).compare(d.hi) >= 0;
+        }
+        bp_->UnpinPage(leaf, false);
+      }
+      if (reaches) {
+        UnlockPages(id, &path);
+        s = LowerBoundary(txn, d.hi, key);
+        if (s.ok() || s.IsBusy() || s.IsDeadlock()) continue;
+        return s;
       }
 
       PageId target = base;
@@ -1952,6 +1713,57 @@ Status BTree::BaseApply(Transaction* txn, BaseUpdateOp op, const Slice& key,
   return Status::Busy("base apply retries exhausted");
 }
 
+Status BTree::LowerBoundary(Transaction* txn, const Slice& from,
+                            const Slice& to) {
+  TxnId id = txn->id();
+  // The separator lives in the lowest internal node above the base level
+  // whose path toward `from` does not run through its slot 0.
+  for (uint8_t level = 2; level < height_.load(); ++level) {
+    Descent d{.access = Access::kExclusive, .stop_level = level};
+    Status s = Descend(id, from, &d);
+    if (!s.ok()) return s;
+    Page* page;
+    s = bp_->FetchPage(d.pid, &page);
+    if (!s.ok()) {
+      UnlockPages(id, &d.path);
+      return s;
+    }
+    bool exact = false;
+    {
+      BufferPool::ApplyScope apply_scope(bp_);
+      std::unique_lock<PageLatch> latch(page->latch());
+      InternalNode node(page);
+      int pos = node.LowerBound(from, &exact);
+      exact = exact && (pos == 0 || node.KeyAt(pos - 1).compare(to) < 0);
+      if (exact) {
+        PageId child = node.ChildAt(pos);
+        node.RemoveAt(pos);
+        node.Insert(to, child);
+        LogRecord del;
+        del.type = LogType::kDelete;
+        del.flags = kInternalCell;
+        del.txn_id = id;
+        del.page_id = d.pid;
+        del.key = from.ToString();
+        log_->Append(&del);
+        LogRecord ins;
+        ins.type = LogType::kInsert;
+        ins.flags = kInternalCell;
+        ins.txn_id = id;
+        ins.page_id = d.pid;
+        ins.key = to.ToString();
+        ins.value = EncodePid(child);
+        log_->Append(&ins);
+        page->set_page_lsn(ins.lsn);
+      }
+    }
+    bp_->UnpinPage(d.pid, exact);
+    UnlockPages(id, &d.path);
+    if (exact) return Status::OK();
+  }
+  return Status::Corruption("base-page boundary not found above the base");
+}
+
 Status BTree::UndoRecordOp(Transaction* txn, const LogRecord& original) {
   TxnId id = txn->id();
   const Slice key(original.key);
@@ -1964,14 +1776,14 @@ Status BTree::UndoRecordOp(Transaction* txn, const LogRecord& original) {
     // Undo-insert removes; undo-delete re-inserts; undo-update restores.
     bool is_undo_of_insert = original.type == LogType::kInsert;
 
-    std::vector<PageId> path;
-    size_t need = is_undo_of_insert
-                      ? 0
-                      : LeafNode::CellSize(key, original.value);
-    Status s = FindLeafPessimistic(id, key, /*for_insert=*/!is_undo_of_insert,
-                                   need, &path);
+    Descent d{.access = Access::kExclusive,
+              .insert_bytes = is_undo_of_insert
+                                  ? 0
+                                  : LeafNode::CellSize(key, original.value)};
+    Status s = Descend(id, key, &d);
     if (!s.ok()) return s;
-    PageId leaf_pid = path.back();
+    std::vector<PageId>& path = d.path;
+    PageId leaf_pid = d.pid;
 
     Page* leaf_page;
     s = bp_->FetchPage(leaf_pid, &leaf_page);

@@ -151,22 +151,6 @@ class BTree {
   void set_base_update_hook(BaseUpdateHook hook);
   void set_base_update_cancel_hook(BaseUpdateCancelHook hook);
 
-  /// Descend (S lock-coupling under `locker`) to the base page covering
-  /// `key`; returns with the base page locked in `mode` and pinned into
-  /// *guard. Caller unlocks.
-  Status LockBasePage(TxnId locker, const Slice& key, LockMode mode,
-                      PageId* base_pid, PageGuard* guard);
-
-  /// §7.1 "follow the leftmost pointers": the first base page and its low
-  /// mark. Takes/releases its own S locks under `locker`.
-  Status FirstBasePage(TxnId locker, std::string* low_mark, PageId* base_pid);
-
-  /// §7.1 Get_Next: low mark of the first base page whose low mark is
-  /// strictly greater than `key`; kNotFound at the end. Also returns the
-  /// page id. Takes/releases its own S locks under `locker`.
-  Status NextBasePage(TxnId locker, const Slice& key, std::string* low_mark,
-                      PageId* base_pid);
-
   /// Apply a base-level change directly: insert or remove the (key -> leaf)
   /// entry in the base page covering `key`, splitting base pages if needed.
   /// Used by the pass-3 builder to apply side-file entries to the new tree
@@ -174,7 +158,11 @@ class BTree {
   /// Duplicate-tolerant (§7.4 step-aside): inserting a separator that is
   /// already present is a verified no-op, not an error — the recording
   /// updater may have applied its split to this tree directly after a Busy
-  /// redirect, with the side entry drained afterwards. When the change was
+  /// redirect, with the side entry drained afterwards; so is inserting a
+  /// separator for a leaf that already covers it by slot-0 clamping. A
+  /// separator the old tree lowered at a base page's slot 0 may fall below a
+  /// base-page boundary of this tree while the leaf's other keys lie above
+  /// it; the boundary then moves down to the separator. When the change was
   /// found already in effect, *already_applied (if non-null) is set true.
   Status BaseApply(Transaction* txn, BaseUpdateOp op, const Slice& key,
                    PageId leaf, bool* already_applied = nullptr);
@@ -210,32 +198,64 @@ class BTree {
     return s;
   }
 
-  /// Result of one latch-free descent attempt. Two guard slots alternate as
-  /// parent/child down the tree (a grandparent image is never needed again
-  /// once its child validated, so its slot can be recycled); on success one
-  /// slot holds the leaf image and the other its base page.
-  struct OptimisticDescent {
-    OptimisticPageGuard slots[2];
-    int leaf_slot = -1;
-    int base_slot = -1;
-    PageId leaf_pid = kInvalidPageId;
-    PageId base_pid = kInvalidPageId;
-    std::string leaf_separator;  // base entry key that routed to the leaf
-    uint64_t incarnation = 0;    // tree incarnation the descent ran under
-    Page* leaf_image() { return slots[leaf_slot].page(); }
-    Page* base_image() { return slots[base_slot].page(); }
+  /// How Descend reads each node on its way down.
+  enum class Access : uint8_t {
+    /// Validated page images: no locks, no pins, no shard mutex. Per node:
+    /// capture an image against the frame version stamp, consult the lock
+    /// manager's page mark (an S-incompatible page lock anywhere on the
+    /// node fails the descent), then revalidate the parent image — in that
+    /// order; see DESIGN.md §13 for why the order makes cross-SMO routing
+    /// safe. Any thread may run it at any time.
+    kOptimistic,
+    /// S lock-coupling (§4.1); the stop node is locked in `stop_mode`. A
+    /// request that meets a granted RX backs off: the parent's S lock is
+    /// released, an unconditional instant-duration RS lock on the parent
+    /// waits the reorganizer out, and the descent restarts.
+    kShared,
+    /// Bayer-Schkolnick X lock-coupling: locks are kept down the path, and
+    /// every ancestor above a node that cannot propagate the pending
+    /// modification is released. Same RX back-off.
+    kExclusive,
   };
 
-  /// One latch-free descent to the leaf covering `key`: no locks, no pins,
-  /// no shard mutex. Per node: capture an image against the frame version
-  /// stamp, consult the lock manager's page-mark counter (an S-incompatible
-  /// page lock anywhere on the node forces fallback), then revalidate the
-  /// parent image — in that order; see DESIGN.md §13 for why the order is
-  /// what makes cross-SMO routing safe. False on any validation failure
-  /// (caller restarts or falls back to the S-lock protocol). Public for the
-  /// iterator, tests, and benches; it takes no locks, so any thread may call
-  /// it at any time.
-  bool OptimisticDescend(const Slice& key, OptimisticDescent* out);
+  /// One root-to-level descent toward a key: how to make it, and what it
+  /// found.
+  struct Descent {
+    Access access = Access::kShared;
+    uint8_t stop_level = 0;             // 0 = leaf, 1 = base page
+    LockMode stop_mode = LockMode::kS;  // kShared: the stop node's lock
+    /// kExclusive: bytes the pending insert needs in the leaf; 0 when the
+    /// modification removes an entry (then a node with two is safe).
+    size_t insert_bytes = 0;
+    /// kOptimistic: two caller-owned image slots, alternating as parent
+    /// and child (a grandparent image is never needed once its child
+    /// validated); `image` ends pointing into one of them.
+    OptimisticPageGuard* images = nullptr;
+    /// Fill lo/hi/separator. They cost two key decodes per level, which a
+    /// point read does not need.
+    bool range = true;
+
+    PageId pid = kInvalidPageId;  // the stop node
+    /// The stop node's key range [lo, hi), read from the separators on the
+    /// path taken: exactly the keys that routed to `pid`. lo empty =
+    /// -infinity, hi empty = +infinity. The next page in key order is the
+    /// one covering `hi`.
+    std::string lo{};
+    std::string hi{};
+    std::string separator{};     // the parent's entry key for `pid`
+    std::vector<PageId> path{};  // page locks held on return, top-down
+    Page* image = nullptr;     // kOptimistic: the stop node's image
+  };
+
+  /// Descend toward `key` until `d->stop_level`. Once the stop node is
+  /// locked (or validated), the §7.4 incarnation is re-checked: a descent
+  /// that straddled a pass-3 switch may have routed through superseded
+  /// upper levels, so it starts over from the new root. On OK the pages in
+  /// `d->path` are locked under `locker` (kShared: the stop node alone;
+  /// kOptimistic: none) and nothing is pinned. kOptimistic makes a single
+  /// attempt and answers Busy on any validation failure or non-resident
+  /// page; the locked modes retry back-offs and root races internally.
+  Status Descend(TxnId locker, const Slice& key, Descent* d);
 
   /// Bounded-restart optimistic point read. True when the read completed
   /// latch-free (*found says whether the key exists); false directs the
@@ -247,33 +267,6 @@ class BTree {
 
  private:
   friend class BTreeIterator;
-
-  struct DescentResult {
-    PageId leaf = kInvalidPageId;
-    PageId base = kInvalidPageId;
-    bool base_locked = false;  // base page S lock retained
-    std::string leaf_separator;  // the base entry key that routed here
-  };
-
-  /// Reader/updater optimistic descent. Handles the RX back-off protocol
-  /// internally (instant RS on the parent + full retry). On success the
-  /// leaf is locked in `leaf_mode` under `locker`; if keep_base_lock, the
-  /// base page S lock is retained too.
-  Status FindLeaf(TxnId locker, const Slice& key, LockMode leaf_mode,
-                  bool keep_base_lock, DescentResult* out);
-
-  /// Pessimistic Bayer-Scholnick descent: X lock-couple, releasing
-  /// ancestors above safe nodes. Returns the X-locked path (top-down,
-  /// always ending at the leaf). for_insert selects the safety predicate.
-  Status FindLeafPessimistic(TxnId locker, const Slice& key, bool for_insert,
-                             size_t need_bytes,
-                             std::vector<PageId>* locked_path);
-
-  /// Generalized pessimistic descent stopping at `stop_level` (0 = leaf,
-  /// 1 = base page).
-  Status FindPathPessimistic(TxnId locker, const Slice& key, bool for_insert,
-                             size_t need_bytes, uint8_t stop_level,
-                             std::vector<PageId>* locked_path);
 
   /// Split the leaf at the end of `path` and insert its separator upward.
   /// All pages in `path` are X-locked by txn. All fallible steps (locks,
@@ -315,6 +308,10 @@ class BTree {
   /// notification. Idempotent; retries internally on deadlock.
   Status LowerSeparatorIfNeeded(Transaction* txn, const Slice& key);
 
+  /// Replace the base-page boundary `from` by the lower key `to` in the
+  /// internal node above the base level that holds it (BaseApply).
+  Status LowerBoundary(Transaction* txn, const Slice& from, const Slice& to);
+
   /// Invoke the base-update hook if the reorganization bit is set.
   Status NotifyBaseUpdate(Transaction* txn, BaseUpdateOp op, const Slice& key,
                           PageId leaf, PageId base_pid);
@@ -329,11 +326,6 @@ class BTree {
                      const Slice& new_value, Page* page_obj);
 
   Status UnlockPages(TxnId locker, std::vector<PageId>* pids);
-
-  /// Recursive helper for NextBasePage; node_pid is S-locked by the caller
-  /// and has level >= 2.
-  Status NextBaseIn(TxnId locker, PageId node_pid, const Slice& key,
-                    std::string* low_mark, PageId* base_pid);
 
   /// Recursive invariant check for CheckConsistency().
   Status CheckSubtree(PageId pid, const Slice& lo, const Slice& hi,

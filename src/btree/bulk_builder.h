@@ -62,10 +62,6 @@ class InternalBuilder {
   /// (those were lost with the crash and will be re-read).
   Status RestoreSpine(PageId top, const Slice& stable_key);
 
-  /// Resume-mode add: silently skip separators that already exist in the
-  /// open page (idempotent re-reads after restart).
-  void set_skip_duplicates(bool b) { skip_duplicates_ = b; }
-
   /// Called with each freshly allocated page id BEFORE the page is formatted
   /// (and so before its image can ever reach disk); returns the LSN the page
   /// is stamped with. Pass 3 logs its kAllocPage record here: the stamp makes
@@ -94,6 +90,8 @@ class InternalBuilder {
   std::vector<Level> levels_;  // levels_[0] = base-page level (tree level 1)
   std::vector<PageId> created_;
   std::vector<PageId> completed_;
+  /// Set by RestoreSpine: the resumed read may offer the stable key's own
+  /// entry again, which an untrimmed open page can already hold.
   bool skip_duplicates_ = false;
   AllocLogger alloc_logger_;
 };

@@ -21,39 +21,26 @@ Status BTreeIterator::Seek(const Slice& key) {
     if (!s.ok()) return s;
     tree_locked_ = true;
   }
+  buf_.clear();  // a new position: nothing returned from it yet
+  have_last_ = false;
   return LoadBatch(key);
 }
 
-bool BTreeIterator::TryLoadBatchOptimistic(const Slice& probe,
-                                           std::string* upper, bool* has_upper,
-                                           std::string* base_last_sep) {
-  for (int attempt = 0; attempt < tree_->options().optimistic_restarts;
-       ++attempt) {
-    BTree::OptimisticDescent d;
-    if (!tree_->OptimisticDescend(probe, &d)) continue;
-    InternalNode base(d.base_image());
-    int slot = base.FindChildSlot(d.leaf_pid);
-    if (slot < 0) continue;  // descent raced a base change; retry
-    if (slot + 1 < base.Count()) {
-      *upper = base.KeyAt(slot + 1).ToString();
-      *has_upper = true;
-    } else {
-      *base_last_sep = base.KeyAt(base.Count() - 1).ToString();
-    }
-    LeafNode ln(d.leaf_image());
-    bool exact;
-    for (int i = ln.LowerBound(probe, &exact); i < ln.Count(); ++i) {
-      buf_.emplace_back(ln.KeyAt(i).ToString(), ln.ValueAt(i).ToString());
-    }
-    leaf_trail_.push_back(d.leaf_pid);
-    tree_->opt_batches_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+void BTreeIterator::CopyBatch(Page* leaf, const Slice& probe) {
+  LeafNode ln(leaf);
+  bool exact;
+  for (int i = ln.LowerBound(probe, &exact); i < ln.Count(); ++i) {
+    Slice k = ln.KeyAt(i);
+    if (have_last_ && k.compare(last_) <= 0) continue;
+    buf_.emplace_back(k.ToString(), ln.ValueAt(i).ToString());
   }
-  tree_->opt_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-  return false;
 }
 
 Status BTreeIterator::LoadBatch(const Slice& from_key) {
+  if (!buf_.empty()) {
+    last_ = std::move(buf_.back().first);
+    have_last_ = true;
+  }
   buf_.clear();
   idx_ = 0;
   std::string probe = from_key.ToString();
@@ -61,82 +48,48 @@ Status BTreeIterator::LoadBatch(const Slice& from_key) {
   // Hop leaves until a non-empty batch or the end of the tree. Bounded by
   // the retry budget to stay robust against pathological concurrent churn.
   for (int hops = 0; hops < tree_->options().max_retries; ++hops) {
-    std::string upper;
-    bool has_upper = false;
-    std::string base_last_sep;
-
-    if (!tree_->options().optimistic_reads ||
-        !TryLoadBatchOptimistic(probe, &upper, &has_upper, &base_last_sep)) {
-      // S-lock body: the pre-optimistic protocol, verbatim.
-      BTree::DescentResult r;
-      Status s = tree_->FindLeaf(locker_, probe, LockMode::kS,
-                                 /*keep_base_lock=*/true, &r);
+    BTree::Descent d;
+    bool served = false;
+    if (tree_->options().optimistic_reads) {
+      // The iterator's leaf S locks are transient by design (cursor
+      // stability), so a validated image loses no isolation; the per-scan
+      // tree IS lock taken in Seek is retained either way.
+      OptimisticPageGuard images[2];
+      d.access = BTree::Access::kOptimistic;
+      d.images = images;
+      for (int attempt = 0;
+           !served && attempt < tree_->options().optimistic_restarts;
+           ++attempt) {
+        served = tree_->Descend(locker_, probe, &d).ok();
+      }
+      if (served) {
+        CopyBatch(d.image, probe);
+        tree_->opt_batches_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        tree_->opt_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        d.access = BTree::Access::kShared;
+      }
+    }
+    if (!served) {
+      Status s = tree_->Descend(locker_, probe, &d);
       if (!s.ok()) return s;
-
-      LockManager* lm = tree_->lock_manager();
       BufferPool* bp = tree_->buffer_pool();
-
-      // Learn this leaf's upper bound from the base page: the next
-      // separator in the base page, or the next base page's low mark.
-      {
-        Page* base_page;
-        s = bp->FetchPage(r.base, &base_page);
-        if (!s.ok()) {
-          lm->Unlock(locker_, PageLock(r.base));
-          lm->Unlock(locker_, PageLock(r.leaf));
-          return s;
-        }
-        std::shared_lock<PageLatch> latch(base_page->latch());
-        InternalNode node(base_page);
-        int slot = node.FindChildSlot(r.leaf);
-        if (slot >= 0 && slot + 1 < node.Count()) {
-          upper = node.KeyAt(slot + 1).ToString();
-          has_upper = true;
-        } else {
-          base_last_sep = node.KeyAt(node.Count() - 1).ToString();
-        }
-        bp->UnpinPage(r.base, false);
-      }
-      lm->Unlock(locker_, PageLock(r.base));
-
-      // Copy qualifying records.
-      {
-        Page* leaf_page;
-        s = bp->FetchPage(r.leaf, &leaf_page);
-        if (!s.ok()) {
-          lm->Unlock(locker_, PageLock(r.leaf));
-          return s;
-        }
-        std::shared_lock<PageLatch> latch(leaf_page->latch());
-        LeafNode ln(leaf_page);
-        bool exact;
-        for (int i = ln.LowerBound(probe, &exact); i < ln.Count(); ++i) {
-          buf_.emplace_back(ln.KeyAt(i).ToString(), ln.ValueAt(i).ToString());
-        }
-        bp->UnpinPage(r.leaf, false);
-      }
-      lm->Unlock(locker_, PageLock(r.leaf));
-      leaf_trail_.push_back(r.leaf);
-    }
-
-    if (!has_upper) {
-      // Last leaf of its base page: the upper bound is the next base page's
-      // low mark (racy but monotonic; see header).
-      std::string lm_key;
-      PageId next_base;
-      Status s = tree_->NextBasePage(locker_, base_last_sep, &lm_key, &next_base);
+      Page* leaf_page;
+      s = bp->FetchPage(d.pid, &leaf_page);
       if (s.ok()) {
-        upper = lm_key;
-        has_upper = true;
-      } else if (!s.IsNotFound()) {
-        return s;
+        {
+          std::shared_lock<PageLatch> latch(leaf_page->latch());
+          CopyBatch(leaf_page, probe);
+        }
+        bp->UnpinPage(d.pid, false);
       }
+      tree_->lock_manager()->Unlock(locker_, PageLock(d.pid));
+      if (!s.ok()) return s;
     }
-    upper_bound_ = upper;
-    has_upper_ = has_upper;
+    leaf_trail_.push_back(d.pid);
+    upper_bound_ = std::move(d.hi);
 
-    if (!buf_.empty()) return Status::OK();
-    if (!has_upper_) return Status::OK();  // end of tree, Valid() == false
+    if (!buf_.empty() || upper_bound_.empty()) return Status::OK();
     probe = upper_bound_;
   }
   return Status::Busy("iterator hop budget exhausted");
@@ -147,7 +100,7 @@ Status BTreeIterator::Next() {
     ++idx_;
     return Status::OK();
   }
-  if (!has_upper_) {
+  if (upper_bound_.empty()) {
     idx_ = buf_.size();  // end
     return Status::OK();
   }

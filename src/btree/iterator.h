@@ -1,11 +1,18 @@
 // BTreeIterator: a batched, cursor-stability iterator over the tree.
 //
-// Each leaf visit takes a short S lock (via the reader protocol, including
-// the RX back-off/RS wait dance), copies the qualifying records into a
-// private buffer, releases the lock, and advances using the *upper-bound
-// separator* learned from the base page — so iteration never chases raw
-// side pointers into pages the reorganizer may be relocating, and tolerates
-// empty leaves, leaf frees and splits happening mid-scan.
+// Each hop descends to the leaf covering the probe key — latch-free when
+// optimistic reads are on and the path validates, otherwise with a short S
+// lock via the reader protocol (including the RX back-off/RS wait dance) —
+// copies the qualifying records into a private buffer, and releases
+// everything. The next hop probes at the leaf's upper bound `hi`, read
+// from the separators on the path the descent took: it is exact for the
+// tree the descent validated (or locked), and the descent restarts if a
+// pass-3 switch flipped the root under it. So iteration never chases raw
+// side pointers into pages the reorganizer may be relocating, never asks
+// the tree for "the next page" a second time, and tolerates empty leaves,
+// leaf frees and splits happening mid-scan. As a last guard, a hop drops
+// any record at or below the last key the iterator returned, so keys come
+// out strictly ascending and at most once.
 //
 // Isolation is cursor stability, not serializability: records inserted or
 // moved behind the cursor are not revisited; records committed ahead of the
@@ -45,18 +52,13 @@ class BTreeIterator {
   const std::vector<PageId>& leaf_trail() const { return leaf_trail_; }
 
  private:
-  /// Load the batch for the leaf covering `from_key`.
+  /// Load the batch for the leaf covering `from_key`, hopping forward past
+  /// empty leaves.
   Status LoadBatch(const Slice& from_key);
 
-  /// Latch-free variant of one LoadBatch hop: descend optimistically, learn
-  /// the upper bound from the base-page image and copy the batch from the
-  /// leaf image, all without locks or pins. False (leaving no trace in
-  /// buf_) when validation kept failing — the caller runs the S-lock body
-  /// for this hop instead. The iterator's leaf/base S locks are transient
-  /// by design (cursor stability), so skipping them loses no isolation;
-  /// the per-scan tree IS lock taken in Seek is retained either way.
-  bool TryLoadBatchOptimistic(const Slice& probe, std::string* upper,
-                              bool* has_upper, std::string* base_last_sep);
+  /// Append the records of `leaf` at or above `probe` (and above the last
+  /// returned key) to buf_.
+  void CopyBatch(Page* leaf, const Slice& probe);
 
   BTree* tree_;
   TxnId locker_;
@@ -66,8 +68,9 @@ class BTreeIterator {
 
   std::vector<std::pair<std::string, std::string>> buf_;
   size_t idx_ = 0;
-  std::string upper_bound_;  // next batch starts here; empty + !has = end
-  bool has_upper_ = false;
+  std::string upper_bound_;  // next batch starts here; empty = end of tree
+  std::string last_;         // the last key returned, when have_last_
+  bool have_last_ = false;
   std::vector<PageId> leaf_trail_;
 };
 

@@ -81,13 +81,20 @@ Status LeafCompactor::PlanNextUnit(std::string* cursor, PageId* base_pid,
                                    std::vector<PageId>* sources,
                                    PageId* dest) {
   std::string probe = Successor(*cursor);
-  PageGuard base_guard;
-  Status s = ctx_->tree->LockBasePage(kReorgTxnId, probe, LockMode::kS,
-                                      base_pid, &base_guard);
+  BTree::Descent d{.access = BTree::Access::kShared, .stop_level = 1};
+  Status s = ctx_->tree->Descend(kReorgTxnId, probe, &d);
   if (!s.ok()) return s;
+  *base_pid = d.pid;
+  Page* base_page;
+  s = ctx_->bp->FetchPage(d.pid, &base_page);
+  if (!s.ok()) {
+    ctx_->locks->Unlock(kReorgTxnId, PageLock(d.pid));
+    return s;
+  }
+  PageGuard base_guard(ctx_->bp, base_page);
   auto unlock_base = [&]() {
     base_guard.Release();
-    ctx_->locks->Unlock(kReorgTxnId, PageLock(*base_pid));
+    ctx_->locks->Unlock(kReorgTxnId, PageLock(d.pid));
   };
 
   InternalNode base(base_guard.get());
@@ -155,22 +162,17 @@ Status LeafCompactor::PlanNextUnit(std::string* cursor, PageId* base_pid,
   }
 
   // Nothing compactable on the rest of this base page: hop to the next
-  // base page (its low mark becomes the probe position) or finish.
+  // base page, the one covering this page's upper bound, or finish.
   unlock_base();
-  std::string lm;
-  PageId next_base;
-  std::string key_for_next = advance_key.empty() ? last_sep : advance_key;
-  s = ctx_->tree->NextBasePage(kReorgTxnId, key_for_next, &lm, &next_base);
-  if (s.IsNotFound()) {
+  if (d.hi.empty()) {
     if (*cursor == advance_key) return Status::NotFound("pass complete");
     *cursor = advance_key;
     return Status::NotSupported("tail; advanced");
   }
-  if (!s.ok()) return s;
-  // Position the cursor at the next base page's low mark. The probe (cursor
-  // successor) then lands on that page's first leaf; no records are skipped
+  // Position the cursor at the upper bound. The probe (cursor successor)
+  // then lands on the next page's first leaf; no records are skipped
   // because planning always takes whole leaves.
-  *cursor = lm;
+  *cursor = std::move(d.hi);
   return Status::NotSupported("advanced to next base page");
 }
 

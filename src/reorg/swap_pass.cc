@@ -61,17 +61,24 @@ Status SwapPass::FindAndLockBaseOf(PageId leaf, PageId* base_pid) {
     }
     bp->UnpinPage(leaf, false);
 
-    PageGuard guard;
-    s = ctx_->tree->LockBasePage(kReorgTxnId, key, LockMode::kR, base_pid,
-                                 &guard);
+    BTree::Descent d{.access = BTree::Access::kShared,
+                     .stop_level = 1,
+                     .stop_mode = LockMode::kR};
+    s = ctx_->tree->Descend(kReorgTxnId, key, &d);
     if (!s.ok()) return s;
+    *base_pid = d.pid;
+    Page* base_page;
+    s = bp->FetchPage(d.pid, &base_page);
+    if (!s.ok()) {
+      ctx_->locks->Unlock(kReorgTxnId, PageLock(d.pid));
+      return s;
+    }
     bool found;
     {
-      std::shared_lock<PageLatch> latch(guard->latch());
-      InternalNode base(guard.get());
-      found = base.FindChildSlot(leaf) >= 0;
+      std::shared_lock<PageLatch> latch(base_page->latch());
+      found = InternalNode(base_page).FindChildSlot(leaf) >= 0;
     }
-    guard.Release();
+    bp->UnpinPage(d.pid, false);
     if (found) return Status::OK();
     ctx_->locks->Unlock(kReorgTxnId, PageLock(*base_pid));
     // The leaf's first key may have been stale; retry.

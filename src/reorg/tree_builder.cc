@@ -39,81 +39,68 @@ bool TreeBuilder::all_read() const {
   return all_read_;
 }
 
-Status TreeBuilder::ReadBasePage(PageId pid) {
-  // One S lock at a time (§7.5) — this is what keeps readers flowing and
-  // blocks only updaters that would change this very base page.
-  Status s = ctx_->locks->Lock(kReorgTxnId, PageLock(pid), LockMode::kS);
-  if (s.IsDeadlock()) return Status::Busy("base page lock lost; re-find");
+Status TreeBuilder::ReadBasePage(bool* last) {
+  // Get_Current: S lock the base page covering CK — one S lock at a time
+  // (§7.5), which keeps readers flowing and blocks only updaters that would
+  // change this very page. The reorganizer always loses deadlocks; the
+  // descent holds nothing when it loses, so it simply tries again.
+  const std::string ck = CurrentKey();
+  BTree::Descent d{.access = BTree::Access::kShared, .stop_level = 1};
+  Status s;
+  do {
+    s = ctx_->tree->Descend(kReorgTxnId, ck, &d);
+  } while (s.IsDeadlock() || s.IsBusy());
   if (!s.ok()) return s;
   Page* page;
-  s = ctx_->bp->FetchPage(pid, &page);
+  s = ctx_->bp->FetchPage(d.pid, &page);
   if (!s.ok()) {
-    ctx_->locks->Unlock(kReorgTxnId, PageLock(pid));
+    ctx_->locks->Unlock(kReorgTxnId, PageLock(d.pid));
     return s;
   }
+  // Entries below CK were read from earlier pages, or their changes went
+  // to the side file; the page can hold some when it grew leftward (its
+  // left neighbour was freed) or was re-entered after its right neighbour
+  // was freed.
   std::vector<std::pair<std::string, PageId>> entries;
-  std::string low_mark;
   {
     std::shared_lock<PageLatch> latch(page->latch());
-    if (page->type() != PageType::kInternal || page->level() != 1) {
-      ctx_->bp->UnpinPage(pid, false);
-      ctx_->locks->Unlock(kReorgTxnId, PageLock(pid));
-      return Status::Busy("base page changed type");
-    }
     InternalNode node(page);
-    low_mark = node.LowMark().ToString();
     for (int i = 0; i < node.Count(); ++i) {
-      entries.emplace_back(node.KeyAt(i).ToString(), node.ChildAt(i));
+      if (node.KeyAt(i).compare(ck) >= 0) {
+        entries.emplace_back(node.KeyAt(i).ToString(), node.ChildAt(i));
+      }
     }
   }
-  ctx_->bp->UnpinPage(pid, false);
+  ctx_->bp->UnpinPage(d.pid, false);
 
   for (const auto& [sep, child] : entries) {
     s = builder_.Add(sep, child);
     if (!s.ok()) {
-      ctx_->locks->Unlock(kReorgTxnId, PageLock(pid));
+      ctx_->locks->Unlock(kReorgTxnId, PageLock(d.pid));
       return s;
     }
   }
 
-  // Advance CK to Get_Next(CK) *before* giving up the S lock (§7.1).
-  std::string next_lm;
-  PageId next_pid;
-  Status next = ctx_->tree->NextBasePage(kReorgTxnId, low_mark, &next_lm,
-                                         &next_pid);
-  if (next.IsDeadlock() || next.IsBusy()) {
-    // The reorganizer lost a deadlock against an updater's X-coupled
-    // descent. Release this base page's S lock (the updater proceeds) and
-    // have the caller re-find and RE-READ the page by CK: updates made
-    // while unlocked have keys >= CK, and the builder skips duplicates, so
-    // the re-read is safe and complete.
-    ctx_->locks->Unlock(kReorgTxnId, PageLock(pid));
-    return Status::Busy("Get_Next lost a deadlock; re-read the page");
-  }
+  // Get_Next (§7.1): CK moves to this page's upper bound before the S lock
+  // goes, and without requesting any lock while it is held. An update that
+  // reaches the page after the release compares below CK and is recorded
+  // in the side file; every key at or above CK is still ahead.
+  *last = d.hi.empty();
   {
     std::lock_guard<std::mutex> g(mu_);
-    if (next.ok()) {
-      current_key_ = next_lm;
-    } else {
+    if (*last) {
       all_read_ = true;
+    } else {
+      current_key_ = d.hi;
     }
   }
-  ctx_->locks->Unlock(kReorgTxnId, PageLock(pid));
+  ctx_->locks->Unlock(kReorgTxnId, PageLock(d.pid));
 
   if (options_.base_page_delay_ms > 0) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(options_.base_page_delay_ms));
   }
-
-  if (pages_since_stable_ >= options_.stable_every) {
-    s = StablePoint();
-    if (!s.ok()) return s;
-  }
-
-  if (next.IsNotFound()) return Status::NotFound("all base pages read");
-  if (!next.ok()) return next;
-  // Tail-call into the next page is done by the caller loop.
-  next_base_ = next_pid;
+  if (pages_since_stable_ >= options_.stable_every) return StablePoint();
   return Status::OK();
 }
 
@@ -141,53 +128,20 @@ Status TreeBuilder::StablePoint() {
 }
 
 Status TreeBuilder::Run(const Slice& resume_key, PageId resume_top) {
-  // Re-reads of a base page (deadlock back-off, crash resume) must be
-  // idempotent.
-  builder_.set_skip_duplicates(true);
   Status s;
-  PageId start_pid;
   if (resume_top != kInvalidPageId && !resume_key.empty()) {
     // §7.3 restart: rebuild builder state from the durable partial tree and
     // continue reading at the stable key.
     s = builder_.RestoreSpine(resume_top, resume_key);
     if (!s.ok()) return s;
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      current_key_ = resume_key.ToString();
-    }
-    PageGuard guard;
-    s = ctx_->tree->LockBasePage(kReorgTxnId, resume_key, LockMode::kS,
-                                 &start_pid, &guard);
-    if (!s.ok()) return s;
-    guard.Release();
-    ctx_->locks->Unlock(kReorgTxnId, PageLock(start_pid));
-  } else {
-    std::string lm;
-    s = ctx_->tree->FirstBasePage(kReorgTxnId, &lm, &start_pid);
-    if (!s.ok()) return s;
     std::lock_guard<std::mutex> g(mu_);
-    current_key_ = lm;
+    current_key_ = resume_key.ToString();
   }
 
-  PageId pid = start_pid;
-  while (true) {
-    next_base_ = kInvalidPageId;
-    s = ReadBasePage(pid);
-    if (s.IsNotFound()) break;  // all read
-    if (s.IsBusy() || s.IsDeadlock()) {
-      // The page changed under us (it split), or Get_Next backed off a
-      // deadlock: re-find the page by CK and re-read it.
-      PageGuard guard;
-      Status f = ctx_->tree->LockBasePage(kReorgTxnId, CurrentKey(),
-                                          LockMode::kS, &pid, &guard);
-      if (f.IsDeadlock() || f.IsBusy()) continue;
-      if (!f.ok()) return f;
-      guard.Release();
-      ctx_->locks->Unlock(kReorgTxnId, PageLock(pid));
-      continue;
-    }
+  // From CK (-infinity: §7.1 "follow the leftmost pointers"), page by page.
+  for (bool last = false; !last;) {
+    s = ReadBasePage(&last);
     if (!s.ok()) return s;
-    pid = next_base_;
   }
 
   // Close the build.

@@ -4,7 +4,9 @@
 // one S lock at a time — and feeds their (separator, leaf) entries to a
 // bottom-up InternalBuilder, producing a compact new upper tree over the
 // *same leaf pages*. While it runs:
-//   * CK (Get_Current) is the low mark of the base page being read; the
+//   * CK (Get_Current) is the key the read has reached: the builder reads
+//     the base page covering CK, takes its entries at or above CK, and
+//     moves CK to that page's upper bound before releasing it. The
 //     base-update hook compares an updater's key with CK to decide whether
 //     a side-file entry is needed (§7.2);
 //   * every `stable_every` new pages, the builder force-writes the new
@@ -51,7 +53,7 @@ class TreeBuilder {
   Status Run(const Slice& resume_key = Slice(),
              PageId resume_top = kInvalidPageId);
 
-  /// Get_Current (§7.1): low mark of the base page currently being read.
+  /// Get_Current (§7.1): every base entry below this key has been read.
   /// Once reading has finished every key is "already read", represented by
   /// all_read() == true.
   std::string CurrentKey() const;
@@ -80,7 +82,9 @@ class TreeBuilder {
 
  private:
   Status StablePoint();
-  Status ReadBasePage(PageId pid);
+  /// Read the base page covering CK and advance CK past it; *last is set
+  /// once the rightmost page has been read.
+  Status ReadBasePage(bool* last);
 
   ReorgContext* ctx_;
   SideFile* side_file_;
@@ -95,7 +99,6 @@ class TreeBuilder {
   uint64_t applied_seq_hwm_ = 0;  // only the drain thread writes it
   Transaction reorg_txn_{kReorgTxnId};
   int pages_since_stable_ = 0;
-  PageId next_base_ = kInvalidPageId;  // set by ReadBasePage
 };
 
 }  // namespace soreorg

@@ -90,9 +90,10 @@ void ScheduleController::Spawn(const std::string& name,
   });
 }
 
-void ScheduleController::LockedWaitAtPoint(Actor* a,
-                                           std::unique_lock<std::mutex>* lk) {
-  a->state = ActorState::kAtPoint;
+void ScheduleController::LockedWaitForTurn(Actor* a,
+                                           std::unique_lock<std::mutex>* lk,
+                                           ActorState state) {
+  a->state = state;
   a->granted = false;
   cv_.notify_all();
   cv_.wait(*lk, [&] { return a->granted || free_run_; });
@@ -104,7 +105,7 @@ void ScheduleController::Point(const std::string& event) {
   Actor* a = static_cast<Actor*>(tls_actor);
   if (a == nullptr || a->ctrl != this) return;
   std::unique_lock<std::mutex> lk(mu_);
-  if (!free_run_) LockedWaitAtPoint(a, &lk);
+  if (!free_run_) LockedWaitForTurn(a, &lk, ActorState::kAtPoint);
   // Recorded after the grant so point entries land in schedule order.
   LockedAddTrace(a->name + ":" + event);
 }
@@ -127,21 +128,27 @@ void ScheduleController::OnLockEvent(LockEvent e, TxnId txn,
              std::to_string(name.id) + ":" + LockModeName(mode);
   }
   std::unique_lock<std::mutex> lk(mu_);
+  if (a->state == ActorState::kParked) {
+    // The parked request resolved. Whoever resolved it may still be running
+    // (the manager reports a release after waking its waiters): hold the
+    // terminal event until the controller hands this actor its turn.
+    if (!free_run_) LockedWaitForTurn(a, &lk, ActorState::kWoken);
+    a->state = ActorState::kRunning;
+  }
   LockedAddTrace(std::move(entry));
   if (e == LockEvent::kWait) {
     // The request is about to block inside LockManager: deschedule the actor
     // without consuming a step. It becomes runnable again when the manager
-    // wakes it (the terminal event below).
+    // wakes it (the terminal event above).
     a->state = ActorState::kParked;
     cv_.notify_all();
     return;
   }
-  if (a->state == ActorState::kParked) a->state = ActorState::kRunning;
   cv_.notify_all();
   // Selected lock events double as scheduling points (hooks run with the
   // manager's mutex released, so blocking here is safe).
   if (!free_run_ && lock_point_pred_ && lock_point_pred_(e, name, mode)) {
-    LockedWaitAtPoint(a, &lk);
+    LockedWaitForTurn(a, &lk, ActorState::kAtPoint);
   }
 }
 
@@ -176,6 +183,17 @@ ScheduleController::Actor* ScheduleController::LockedFindActor(
     if (a->name == name) return a.get();
   }
   return nullptr;
+}
+
+ScheduleController::Actor* ScheduleController::LockedFirstWoken() {
+  Actor* first = nullptr;
+  for (auto& a : actors_) {
+    if (a->state == ActorState::kWoken &&
+        (first == nullptr || a->name < first->name)) {
+      first = a.get();
+    }
+  }
+  return first;
 }
 
 void ScheduleController::LockedStall(const std::string& why) {
@@ -219,8 +237,12 @@ Status ScheduleController::Run() {
       if (!LockedAwaitQuiescence(&lk)) break;
       if (LockedAllDone()) break;
 
-      Actor* next = nullptr;
-      if (script_pos_ < script_.size()) {
+      const bool script_done =
+          !script_.empty() && script_pos_ >= script_.size();
+      Actor* next = script_done ? nullptr : LockedFirstWoken();
+      if (next != nullptr) {
+        // A woken actor takes its turn before the next step, consuming none.
+      } else if (script_pos_ < script_.size()) {
         const std::string& want = script_[script_pos_];
         Actor* a = LockedFindActor(want);
         if (a == nullptr) {
@@ -230,10 +252,11 @@ Status ScheduleController::Run() {
         auto deadline =
             std::chrono::steady_clock::now() +
             std::chrono::milliseconds(options_.step_timeout_ms);
-        while (a->state != ActorState::kAtPoint) {
-          if (a->state == ActorState::kDone) break;
+        while (a->state != ActorState::kAtPoint &&
+               a->state != ActorState::kDone && LockedFirstWoken() == nullptr) {
           if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) break;
         }
+        if (LockedFirstWoken() != nullptr) continue;  // its turn comes first
         if (a->state != ActorState::kAtPoint) {
           LockedStall("script step " + std::to_string(script_pos_) + " ('" +
                       want + "') never reached a point");
@@ -241,7 +264,7 @@ Status ScheduleController::Run() {
         }
         next = a;
         ++script_pos_;
-      } else if (!script_.empty()) {
+      } else if (script_done) {
         // Script exhausted: the remaining actors free-run to completion.
         free_run_ = true;
         cv_.notify_all();
@@ -273,7 +296,8 @@ Status ScheduleController::Run() {
             if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) break;
             for (auto& a : actors_) {
               if (a->state == ActorState::kAtPoint ||
-                  a->state == ActorState::kRunning) {
+                  a->state == ActorState::kRunning ||
+                  a->state == ActorState::kWoken) {
                 progress = true;
               }
             }

@@ -12,10 +12,15 @@
 // either by a script (an explicit sequence of actor names) or by a seeded RNG.
 // In between, the controller listens to LockManager's event hook and
 // BufferPool's fetch hook: an actor whose lock request blocks (LockEvent
-// kWait) is marked *parked* — it is descheduled without consuming a step and
-// becomes runnable again only when another actor's action unblocks it. Every
-// point, park, and lock event is appended to a trace; a test asserts on trace
-// ordering, which makes the interleaving itself the test oracle.
+// kWait) is marked *parked* — it is descheduled without consuming a step.
+// When its request resolves (another actor's release, a timeout, a deadlock
+// sweep) it is *woken*: until the free-run epilogue, it is held at that
+// terminal lock event until every other actor has come to rest, then resumed
+// before the next step, again without consuming one. So a releasing actor's own events — its unlock or
+// release-all, which the lock manager reports only after waking the waiter
+// — always precede the waiter's. Every point, park, and lock event is
+// appended to a trace; a test asserts on trace ordering, which makes the
+// interleaving itself the test oracle.
 //
 // Conventions:
 //   * every actor body calls ctrl.Point("begin") first, so no work happens
@@ -117,6 +122,7 @@ class ScheduleController {
     kRunning,  // executing (or granted and about to resume)
     kAtPoint,  // blocked in Point(), schedulable
     kParked,   // blocked inside LockManager, not schedulable
+    kWoken,    // its lock request resolved; resumed before the next step
     kDone,     // body returned
   };
 
@@ -133,13 +139,15 @@ class ScheduleController {
   void OnFetch(PageId page_id);
 
   // All Locked* helpers require mu_ held.
-  // Block the calling actor at a scheduling point until granted (or a stall
-  // releases everything).
-  void LockedWaitAtPoint(Actor* a, std::unique_lock<std::mutex>* lk);
+  // Block the calling actor in `state` (kAtPoint or kWoken) until granted
+  // (or a stall or the free-run epilogue releases everything).
+  void LockedWaitForTurn(Actor* a, std::unique_lock<std::mutex>* lk,
+                         ActorState state);
   void LockedAddTrace(std::string entry);
   bool LockedQuiescent() const;  // no actor running
   bool LockedAllDone() const;
   Actor* LockedFindActor(const std::string& name);
+  Actor* LockedFirstWoken();  // by name, for a deterministic order
   // Wait (with the stall deadline) until no actor is running, debounced by
   // settle_us so a just-woken parked thread is not mistaken for quiescence.
   bool LockedAwaitQuiescence(std::unique_lock<std::mutex>* lk);

@@ -332,34 +332,35 @@ TEST_F(BTreeTest, BasePageUtilities) {
   ASSERT_TRUE(tree_->CollectBasePages(&bases).ok());
   ASSERT_GE(bases.size(), 1u);
 
-  // FirstBasePage + NextBasePage walk them all in order.
+  // Base-level descents walk them all in order: the first from -infinity,
+  // each next one from the previous page's upper bound.
   TxnId id = tree_->NewEphemeralId();
-  std::string lm;
-  PageId pid;
-  ASSERT_TRUE(tree_->FirstBasePage(id, &lm, &pid).ok());
-  EXPECT_EQ(pid, bases[0]);
-  size_t count = 1;
+  std::string from;
+  size_t count = 0;
   while (true) {
-    Status s = tree_->NextBasePage(id, lm, &lm, &pid);
-    if (s.IsNotFound()) break;
-    ASSERT_TRUE(s.ok());
+    BTree::Descent d{.access = BTree::Access::kShared, .stop_level = 1};
+    ASSERT_TRUE(tree_->Descend(id, from, &d).ok());
+    locks_.Unlock(id, PageLock(d.pid));
     ASSERT_LT(count, bases.size());
-    EXPECT_EQ(pid, bases[count]);
+    EXPECT_EQ(d.pid, bases[count]);
+    EXPECT_EQ(d.lo, from);
     ++count;
+    if (d.hi.empty()) break;
+    from = d.hi;
   }
   EXPECT_EQ(count, bases.size());
 
-  // LockBasePage lands on the right base page for a key.
-  PageGuard guard;
-  PageId base_pid;
-  ASSERT_TRUE(tree_
-                  ->LockBasePage(id, EncodeU64Key(1500), LockMode::kR,
-                                 &base_pid, &guard)
-                  .ok());
-  InternalNode node(guard.get());
+  // A base-level descent lands on the right base page for a key.
+  BTree::Descent d{.access = BTree::Access::kShared,
+                   .stop_level = 1,
+                   .stop_mode = LockMode::kR};
+  ASSERT_TRUE(tree_->Descend(id, EncodeU64Key(1500), &d).ok());
+  Page* page;
+  ASSERT_TRUE(bp_->FetchPage(d.pid, &page).ok());
+  InternalNode node(page);
   EXPECT_GE(node.FindChildSlot(node.ChildAt(node.FindChild(
                 EncodeU64Key(1500)))), 0);
-  guard.Release();
+  bp_->UnpinPage(d.pid, false);
   locks_.ReleaseAll(id);
 }
 

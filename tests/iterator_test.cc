@@ -40,7 +40,7 @@ TEST_F(IteratorTest, EmptyTreeIteratesNothing) {
 }
 
 TEST_F(IteratorTest, FullIterationCrossesManyLeavesAndBasePages) {
-  const int kN = 20000;  // multiple base pages => NextBasePage hops
+  const int kN = 20000;  // multiple base pages => hops across them
   auto records = MakeRecords(kN, 64);
   ASSERT_TRUE(db_->BulkLoad(records, 0.9).ok());
   BTreeIterator it(db_->tree(), nullptr);

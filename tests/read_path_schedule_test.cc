@@ -39,11 +39,14 @@ TEST(ReadPathScheduleTest, ReaderFallsBackAndBacksOffUnderRx) {
   std::string warm;
   ASSERT_TRUE(db->Get(key, &warm).ok());  // resident: descent would succeed
 
-  // The leaf the key lives on and its base page, via a latch-free probe.
-  BTree::OptimisticDescent probe;
-  ASSERT_TRUE(db->tree()->OptimisticDescend(key, &probe));
-  PageId leaf = probe.leaf_pid;
-  PageId base = probe.base_pid;
+  // The leaf the key lives on and its base page, via latch-free probes.
+  OptimisticPageGuard images[2];
+  BTree::Descent probe{.access = BTree::Access::kOptimistic, .images = images};
+  ASSERT_TRUE(db->tree()->Descend(kInvalidTxnId, key, &probe).ok());
+  PageId leaf = probe.pid;
+  probe.stop_level = 1;
+  ASSERT_TRUE(db->tree()->Descend(kInvalidTxnId, key, &probe).ok());
+  PageId base = probe.pid;
 
   ReadPathStats before = db->tree()->read_path_stats();
   LockManager* lm = db->lock_manager();

@@ -253,8 +253,9 @@ TEST(ReadPathTest, MarkedLeafForcesFallback) {
 
   // The locked fallback path would wait forever behind the X lock, so probe
   // only the optimistic layer directly: every restart must refuse.
-  BTree::OptimisticDescent d;
-  EXPECT_FALSE(fx.db->tree()->OptimisticDescend(EncodeU64Key(10), &d));
+  OptimisticPageGuard images[2];
+  BTree::Descent d{.access = BTree::Access::kOptimistic, .images = images};
+  EXPECT_FALSE(fx.db->tree()->Descend(kInvalidTxnId, EncodeU64Key(10), &d).ok());
 
   fx.db->lock_manager()->ReleaseAll(kBlocker);
   ASSERT_TRUE(fx.db->Get(EncodeU64Key(10), &value).ok());
