@@ -59,7 +59,7 @@ RunResult Measure(bool optimistic) {
   MemEnv env;
   DatabaseOptions options;
   options.buffer_pool_pages = 4096;  // whole working set resident
-  options.optimistic_reads = optimistic;
+  options.tree.optimistic_reads = optimistic;
   std::unique_ptr<Database> db;
   Status s = Database::Open(&env, options, &db);
   if (!s.ok()) {

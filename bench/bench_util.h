@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/db/database.h"
-#include "src/sim/crash_injector.h"
 #include "src/sim/disk_model.h"
 #include "src/sim/workload.h"
 #include "src/util/coding.h"

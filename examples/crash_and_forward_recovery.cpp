@@ -8,15 +8,15 @@
 #include <cstdio>
 
 #include "src/db/database.h"
-#include "src/sim/crash_injector.h"
+#include "src/storage/fault_env.h"
 #include "src/sim/workload.h"
 #include "src/util/coding.h"
 
 using namespace soreorg;
 
 int main() {
-  MemEnv env;
-  CrashInjector injector(&env);
+  MemEnv base;
+  FaultInjectionEnv env(&base);  // fails the N-th write-like op on demand
   DatabaseOptions options;  // RecoveryPolicy::kForward is the default
   std::unique_ptr<Database> db;
   Status s = Database::Open(&env, options, &db);
@@ -32,14 +32,13 @@ int main() {
               (unsigned long long)before.leaf_pages, before.avg_leaf_fill,
               survivors.size());
 
-  // Let a few units run, then fail the system mid-unit: the 25th WAL write
+  // Let a few units run, then fail the system mid-unit: the 25th WAL I/O
   // lands somewhere inside a reorganization unit.
-  std::printf("\nrunning pass 1 with a crash armed at WAL write #25...\n");
-  injector.ArmAfterOps(25, options.name + ".wal");
+  std::printf("\nrunning pass 1 with a crash armed at WAL I/O #25...\n");
+  env.FailOpAfter(25, options.name + ".wal", "");
   s = db->reorganizer()->RunLeafPass();
   std::printf("pass 1 stopped: %s (crash fired: %s)\n", s.ToString().c_str(),
-              injector.fired() ? "yes" : "no");
-  injector.Disarm();
+              env.fault_fired() ? "yes" : "no");
 
   // "System failure": everything unsynced evaporates; reopen runs recovery.
   db.reset();

@@ -112,7 +112,7 @@ void BTree::CancelBaseUpdate(Transaction* txn, BaseUpdateOp op,
 
 Status BTree::LowerSeparatorIfNeeded(Transaction* txn, const Slice& key) {
   TxnId id = txn->id();
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     Descent d{.access = Access::kExclusive, .stop_level = 1};
     Status s = Descend(id, key, &d);
     if (s.IsDeadlock() || s.IsBusy()) continue;
@@ -227,7 +227,7 @@ Status BTree::Descend(TxnId locker, const Slice& key, Descent* d) {
   const bool optimistic = d->access == Access::kOptimistic;
   const bool exclusive = d->access == Access::kExclusive;
   const LockMode couple = exclusive ? LockMode::kX : LockMode::kS;
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     const uint64_t inc = incarnation_.load();
     PageId cur = root_.load();
     d->path.clear();
@@ -395,9 +395,9 @@ Status BTree::Descend(TxnId locker, const Slice& key, Descent* d) {
 // Logging helpers
 // ---------------------------------------------------------------------------
 
-Status BTree::LogRecordOp(Transaction* txn, LogType type, PageId page,
-                          const Slice& key, const Slice& old_value,
-                          const Slice& new_value, Page* page_obj) {
+void BTree::LogRecordOp(Transaction* txn, LogType type, PageId page,
+                        const Slice& key, const Slice& old_value,
+                        const Slice& new_value, Page* page_obj) {
   LogRecord rec;
   rec.type = type;
   rec.txn_id = txn->id();
@@ -412,11 +412,9 @@ Status BTree::LogRecordOp(Transaction* txn, LogType type, PageId page,
   } else {
     rec.value = new_value.ToString();
   }
-  Status s = log_->Append(&rec);
-  if (!s.ok()) return s;
+  log_->Append(&rec);
   txn->set_last_lsn(rec.lsn);
   page_obj->set_page_lsn(rec.lsn);
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -434,7 +432,7 @@ Status BTree::Insert(Transaction* txn, const Slice& key, const Slice& value) {
     return Status::InvalidArgument("record too large");
   }
 
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     Descent r{.access = Access::kShared, .stop_mode = LockMode::kX};
     s = Descend(id, key, &r);
     if (!s.ok()) return s;
@@ -475,8 +473,8 @@ Status BTree::Insert(Transaction* txn, const Slice& key, const Slice& value) {
         LeafNode ln(leaf_page);
         s = ln.Insert(key, value);
         if (s.ok()) {
-          s = LogRecordOp(txn, LogType::kInsert, r.pid, key, Slice(), value,
-                          leaf_page);
+          LogRecordOp(txn, LogType::kInsert, r.pid, key, Slice(), value,
+                      leaf_page);
         }
       }
       bp_->UnpinPage(r.pid, s.ok());
@@ -762,7 +760,7 @@ Status BTree::SplitLeaf(Transaction* txn, const std::vector<PageId>& path,
   if (n < 2) return Status::Busy("cannot split near-empty leaf");
   size_t used = sp.UsedSpace();
   size_t target_bytes = static_cast<size_t>(
-      static_cast<double>(used) * options_.split_fraction);
+      static_cast<double>(used) * kSplitFraction);
   size_t acc = 0;
   int split_at = n - 1;
   for (int i = 0; i < n - 1; ++i) {
@@ -983,8 +981,8 @@ Status BTree::Update(Transaction* txn, const Slice& key, const Slice& value) {
       LeafNode ln(leaf_page);
       s = ln.SetValueAt(pos, value);
       if (s.ok()) {
-        s = LogRecordOp(txn, LogType::kUpdate, r.pid, key, old_value, value,
-                        leaf_page);
+        LogRecordOp(txn, LogType::kUpdate, r.pid, key, old_value, value,
+                    leaf_page);
       }
     }
     bp_->UnpinPage(r.pid, s.ok());
@@ -1037,12 +1035,11 @@ Status BTree::Delete(Transaction* txn, const Slice& key) {
       std::unique_lock<PageLatch> latch(leaf_page->latch());
       LeafNode ln(leaf_page);
       ln.RemoveAt(pos);
-      s = LogRecordOp(txn, LogType::kDelete, r.pid, key, old_value, Slice(),
-                      leaf_page);
+      LogRecordOp(txn, LogType::kDelete, r.pid, key, old_value, Slice(),
+                  leaf_page);
     }
-    bp_->UnpinPage(r.pid, s.ok());
-    if (!s.ok()) locks_->Unlock(id, PageLock(r.pid));
-    return s;
+    bp_->UnpinPage(r.pid, true);
+    return Status::OK();  // leaf X lock retained until commit/abort
   }
   bp_->UnpinPage(r.pid, false);
   locks_->Unlock(id, PageLock(r.pid));
@@ -1077,14 +1074,10 @@ Status BTree::Delete(Transaction* txn, const Slice& key) {
       std::unique_lock<PageLatch> latch(leaf_page->latch());
       LeafNode ln(leaf_page);
       ln.RemoveAt(pos);
-      s = LogRecordOp(txn, LogType::kDelete, path.back(), key, old_value,
-                      Slice(), leaf_page);
+      LogRecordOp(txn, LogType::kDelete, path.back(), key, old_value,
+                  Slice(), leaf_page);
     }
-    bp_->UnpinPage(path.back(), s.ok());
-  }
-  if (!s.ok()) {
-    UnlockPages(id, &path);
-    return s;
+    bp_->UnpinPage(path.back(), true);
   }
   if (count == 1) {
     // Free-at-empty. A failure here is benign: the empty leaf simply
@@ -1298,7 +1291,7 @@ bool BTree::TryGetOptimistic(const Slice& key, std::string* value,
                              bool* found) {
   OptimisticPageGuard images[2];
   Descent d{.access = Access::kOptimistic, .images = images, .range = false};
-  for (int attempt = 0; attempt < options_.optimistic_restarts; ++attempt) {
+  for (int attempt = 0; attempt < kOptimisticRestarts; ++attempt) {
     if (!Descend(kInvalidTxnId, key, &d).ok()) continue;
     LeafNode ln(d.image);
     bool exact;
@@ -1595,7 +1588,7 @@ Status BTree::CheckSubtree(PageId pid, const Slice& lo, const Slice& hi,
 Status BTree::BaseApply(Transaction* txn, BaseUpdateOp op, const Slice& key,
                         PageId leaf, bool* already_applied) {
   TxnId id = txn->id();
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     Descent d{.access = Access::kExclusive,
               .stop_level = 1,
               .insert_bytes = op == BaseUpdateOp::kInsert
@@ -1772,7 +1765,7 @@ Status BTree::UndoRecordOp(Transaction* txn, const LogRecord& original) {
     Status s = LowerSeparatorIfNeeded(txn, key);
     if (!s.ok()) return s;
   }
-  for (int attempt = 0; attempt < options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     // Undo-insert removes; undo-delete re-inserts; undo-update restores.
     bool is_undo_of_insert = original.type == LogType::kInsert;
 

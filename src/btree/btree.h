@@ -54,21 +54,22 @@ enum class SidePointerMode : uint8_t { kNone = 0, kOneWay = 1, kTwoWay = 2 };
 
 struct BTreeOptions {
   SidePointerMode side_pointers = SidePointerMode::kTwoWay;
-  /// Fraction of used bytes kept in the left page on a split.
-  double split_fraction = 0.5;
-  /// Max op-level retries after Backoff/Deadlock before giving up.
-  int max_retries = 256;
   /// Serve ephemeral point reads and iterator leaf batches latch-free when
   /// possible: snapshot page images against the frame version stamp and
   /// validate, consulting only the lock manager's page-mark counters. Any
   /// validation failure falls back to the Table-1 S-lock protocol. With
   /// this off every read takes exactly the locks it did before the
-  /// optimistic path existed.
+  /// optimistic path existed (the lock-trace oracle of read_path_test).
   bool optimistic_reads = true;
-  /// Full-descent restarts before an optimistic read gives up and falls
-  /// back to the S-lock path.
-  int optimistic_restarts = 4;
 };
+
+/// Fraction of used bytes kept in the left page on a split.
+inline constexpr double kSplitFraction = 0.5;
+/// Max op-level retries after Backoff/Deadlock before giving up.
+inline constexpr int kMaxRetries = 256;
+/// Full-descent restarts before an optimistic read gives up and falls back
+/// to the S-lock path.
+inline constexpr int kOptimisticRestarts = 4;
 
 /// What kind of base-page change an updater performed (for the side file).
 enum class BaseUpdateOp : uint8_t { kInsert = 0, kDelete = 1 };
@@ -321,9 +322,9 @@ class BTree {
                         PageId leaf);
 
   /// Log a record-level op for txn and stamp the page LSN.
-  Status LogRecordOp(Transaction* txn, LogType type, PageId page,
-                     const Slice& key, const Slice& old_value,
-                     const Slice& new_value, Page* page_obj);
+  void LogRecordOp(Transaction* txn, LogType type, PageId page,
+                   const Slice& key, const Slice& old_value,
+                   const Slice& new_value, Page* page_obj);
 
   Status UnlockPages(TxnId locker, std::vector<PageId>* pids);
 

@@ -18,15 +18,7 @@ Status InternalBuilder::OpenPageAt(size_t level, const Slice& low_mark) {
   // may be a recycled one with old-tree records still ahead of it in the
   // redo stream, and the LSN stamp is what makes redo leave the rebuilt
   // image alone.
-  Lsn stamp = 0;
-  if (alloc_logger_) {
-    s = alloc_logger_(pid, &stamp);
-    if (!s.ok()) {
-      bp_->UnpinPage(pid, false);
-      bp_->DeletePage(pid);
-      return s;
-    }
-  }
+  Lsn stamp = alloc_logger_ ? alloc_logger_(pid) : 0;
   InternalNode::Format(page, pid, static_cast<uint8_t>(level + 1), low_mark);
   page->set_page_lsn(stamp);
   bp_->UnpinPage(pid, true);

@@ -70,7 +70,7 @@ class InternalBuilder {
   /// the unlogged page image — careful writing for built pages (§7.3).
   /// Without a logger (initial bulk loads) pages keep LSN 0 and the
   /// follow-up checkpoint is the recovery baseline.
-  using AllocLogger = std::function<Status(PageId, Lsn*)>;
+  using AllocLogger = std::function<Lsn(PageId)>;
   void set_alloc_logger(AllocLogger logger) { alloc_logger_ = std::move(logger); }
 
  private:

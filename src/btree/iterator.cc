@@ -47,7 +47,7 @@ Status BTreeIterator::LoadBatch(const Slice& from_key) {
 
   // Hop leaves until a non-empty batch or the end of the tree. Bounded by
   // the retry budget to stay robust against pathological concurrent churn.
-  for (int hops = 0; hops < tree_->options().max_retries; ++hops) {
+  for (int hops = 0; hops < kMaxRetries; ++hops) {
     BTree::Descent d;
     bool served = false;
     if (tree_->options().optimistic_reads) {
@@ -57,8 +57,7 @@ Status BTreeIterator::LoadBatch(const Slice& from_key) {
       OptimisticPageGuard images[2];
       d.access = BTree::Access::kOptimistic;
       d.images = images;
-      for (int attempt = 0;
-           !served && attempt < tree_->options().optimistic_restarts;
+      for (int attempt = 0; !served && attempt < kOptimisticRestarts;
            ++attempt) {
         served = tree_->Descend(locker_, probe, &d).ok();
       }

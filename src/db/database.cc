@@ -1,7 +1,5 @@
 #include "src/db/database.h"
 
-#include <cstdio>
-
 #include "src/btree/bulk_builder.h"
 
 namespace soreorg {
@@ -31,8 +29,7 @@ Status Database::Open(Env* env, DatabaseOptions options,
   LogManager* log = db->log_.get();
   db->bp_ = std::make_unique<BufferPool>(
       db->disk_.get(), db->options_.buffer_pool_pages,
-      [log](Lsn lsn) { return log->FlushTo(lsn); },
-      db->options_.buffer_pool_shards);
+      [log](Lsn lsn) { return log->FlushTo(lsn); });
 
   db->txn_mgr_ = std::make_unique<TransactionManager>(
       db->log_.get(), &db->locks_, db->bp_.get());
@@ -46,20 +43,7 @@ Status Database::Open(Env* env, DatabaseOptions options,
   s = db->recovery_->Recover(&db->recovery_result_);
   if (!s.ok()) return s;
   const RecoveryResult& rr = db->recovery_result_;
-  if (db->options_.verbose_recovery) {
-    std::fprintf(stderr,
-                 "[recovery] records=%llu redone=%llu segments=%llu "
-                 "recycled=%llu tail_torn=%d dropped=%llu threads=%d\n",
-                 static_cast<unsigned long long>(rr.records_scanned),
-                 static_cast<unsigned long long>(rr.records_redone),
-                 static_cast<unsigned long long>(rr.segments_scanned),
-                 static_cast<unsigned long long>(rr.segments_recycled),
-                 rr.tail_segment_torn ? 1 : 0,
-                 static_cast<unsigned long long>(rr.wal_bytes_dropped),
-                 rr.redo_threads_used);
-  }
 
-  db->options_.tree.optimistic_reads = db->options_.optimistic_reads;
   db->tree_ = std::make_unique<BTree>(db->bp_.get(), db->log_.get(),
                                       &db->locks_, db->options_.tree);
   if (rr.tree_root == kInvalidPageId) {

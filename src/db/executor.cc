@@ -23,11 +23,9 @@ Executor::Executor(ExecutorOptions options) : options_(options) {
 
 Executor::~Executor() { Shutdown(); }
 
-bool Executor::ResolveDeadline(int64_t deadline_ms,
-                               Clock::time_point* out) const {
-  int64_t ms = deadline_ms == 0 ? options_.default_deadline_ms : deadline_ms;
-  if (ms <= 0) return false;
-  *out = Clock::now() + std::chrono::milliseconds(ms);
+bool Executor::ResolveDeadline(int64_t deadline_ms, Clock::time_point* out) {
+  if (deadline_ms <= 0) return false;
+  *out = Clock::now() + std::chrono::milliseconds(deadline_ms);
   return true;
 }
 

@@ -11,10 +11,9 @@
 //   * A request's deadline bounds time-to-start, i.e. queue wait — both the
 //     wait for a free slot when the queue is full and the wait in the queue
 //     for the worker. Once a task starts executing it runs to completion.
-//   * deadline_ms == 0 uses ExecutorOptions::default_deadline_ms;
-//     a resolved deadline of <= 0 means "no deadline" (wait indefinitely,
-//     but still bounded in *space* by the queue capacity — a producer
-//     blocks rather than growing the queue).
+//   * deadline_ms <= 0 means "no deadline" (wait indefinitely, but still
+//     bounded in *space* by the queue capacity — a producer blocks rather
+//     than growing the queue).
 //
 // Shutdown protocol: Shutdown() marks the executor draining, wakes every
 // producer and worker, and joins the workers. A draining worker completes
@@ -23,10 +22,10 @@
 // OK/op status, TimedOut, or Aborted. The currently-executing task (if any)
 // runs to completion.
 //
-// Inline fast path (inline_when_idle, default on): a synchronous Execute()
-// finding its lane completely idle — empty queue AND no op in flight — runs
-// the task on the *calling* thread instead of paying the wake/sleep handoff
-// (two context switches per op on a loaded single core). The lane's `busy`
+// Inline fast path: a synchronous Execute() finding its lane completely
+// idle — empty queue AND no op in flight — runs the task on the *calling*
+// thread instead of paying the wake/sleep handoff (two context switches per
+// op on a loaded single core). The lane's `busy`
 // flag keeps lane exclusivity: at most one op per lane executes at any
 // instant, inline or on the worker, so per-lane serialization is unchanged —
 // only the executing thread differs. The moment there is any backlog the op
@@ -56,14 +55,6 @@ struct ExecutorOptions {
   /// Per-worker queue bound. Producers finding the queue full wait for a
   /// slot up to the op deadline, then fail TimedOut.
   size_t queue_capacity = 1024;
-  /// Default start-deadline for ops submitted with deadline_ms == 0.
-  /// <= 0 means no deadline (producers block on a full queue).
-  int64_t default_deadline_ms = 0;
-  /// Run synchronous Execute() calls on the calling thread when the target
-  /// lane is idle (see the header comment). Off = every op goes through the
-  /// worker thread, preserving the strict "tasks run on the pinned worker"
-  /// property some tests and schedules rely on.
-  bool inline_when_idle = true;
 };
 
 struct ExecutorStats {
@@ -96,13 +87,13 @@ class Executor {
   void Submit(int worker, Task task, Completion done, int64_t deadline_ms = 0);
 
   /// Synchronous execution: inline on the calling thread when the lane is
-  /// idle (and inline_when_idle is on), otherwise Submit + wait for the
-  /// completion. Templated so the inline fast path calls the functor
-  /// directly — no std::function is materialized unless the op queues.
+  /// idle, otherwise Submit + wait for the completion. Templated so the
+  /// inline fast path calls the functor directly — no std::function is
+  /// materialized unless the op queues.
   template <typename F>
   Status Execute(int worker, F&& task, int64_t deadline_ms = 0) {
     Lane* lane = lanes_[static_cast<size_t>(worker) % lanes_.size()].get();
-    if (options_.inline_when_idle && TryClaimIdleLane(lane)) {
+    if (TryClaimIdleLane(lane)) {
       submitted_.fetch_add(1, std::memory_order_relaxed);
       executed_.fetch_add(1, std::memory_order_relaxed);
       Status s = task();
@@ -146,8 +137,8 @@ class Executor {
 
 
   void WorkerMain(Lane* lane);
-  /// Resolve a per-call deadline_ms against the options default.
-  bool ResolveDeadline(int64_t deadline_ms, Clock::time_point* out) const;
+  /// The absolute deadline for a per-call deadline_ms; false if none.
+  static bool ResolveDeadline(int64_t deadline_ms, Clock::time_point* out);
 
   /// Claim the lane for inline execution iff it is completely idle: empty
   /// queue, no op in flight, not shutting down.

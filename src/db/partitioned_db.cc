@@ -148,59 +148,6 @@ Status PartitionedDatabase::ReadModifyWrite(
       deadline_ms);
 }
 
-// --- asynchronous variants --------------------------------------------------
-
-void PartitionedDatabase::AsyncGet(const Slice& key, std::string* value,
-                                   Executor::Completion done,
-                                   int64_t deadline_ms) {
-  size_t p = PartitionOf(key);
-  Database* db = dbs_[p].get();
-  executor_->Submit(
-      WorkerOf(p),
-      [db, k = key.ToString(), value]() { return db->Get(k, value); },
-      std::move(done), deadline_ms);
-}
-
-void PartitionedDatabase::AsyncPut(const Slice& key, const Slice& value,
-                                   Executor::Completion done,
-                                   int64_t deadline_ms) {
-  size_t p = PartitionOf(key);
-  Database* db = dbs_[p].get();
-  executor_->Submit(
-      WorkerOf(p),
-      [db, k = key.ToString(), v = value.ToString()]() { return db->Put(k, v); },
-      std::move(done), deadline_ms);
-}
-
-void PartitionedDatabase::AsyncUpdate(const Slice& key, const Slice& value,
-                                      Executor::Completion done,
-                                      int64_t deadline_ms) {
-  size_t p = PartitionOf(key);
-  Database* db = dbs_[p].get();
-  executor_->Submit(
-      WorkerOf(p),
-      [db, k = key.ToString(), v = value.ToString()]() {
-        return db->Update(k, v);
-      },
-      std::move(done), deadline_ms);
-}
-
-void PartitionedDatabase::AsyncReadModifyWrite(
-    const Slice& key, std::function<std::string(const std::string&)> modify,
-    Executor::Completion done, int64_t deadline_ms) {
-  size_t p = PartitionOf(key);
-  Database* db = dbs_[p].get();
-  executor_->Submit(
-      WorkerOf(p),
-      [db, k = key.ToString(), modify = std::move(modify)]() {
-        std::string cur;
-        Status s = db->Get(k, &cur);
-        if (!s.ok()) return s;
-        return db->Update(k, modify(cur));
-      },
-      std::move(done), deadline_ms);
-}
-
 // --- merged scan ------------------------------------------------------------
 
 namespace {

@@ -88,7 +88,7 @@ class PartitionedDatabase {
   /// closes every partition.
   ~PartitionedDatabase();
 
-  // --- user operations (deadline_ms: 0 = executor default, <0 = none) ------
+  // --- user operations (deadline_ms: start deadline, <= 0 = none) ---------
   Status Put(const Slice& key, const Slice& value, int64_t deadline_ms = 0);
   Status Update(const Slice& key, const Slice& value, int64_t deadline_ms = 0);
   Status Delete(const Slice& key, int64_t deadline_ms = 0);
@@ -99,18 +99,6 @@ class PartitionedDatabase {
                          const std::function<std::string(const std::string&)>&
                              modify,
                          int64_t deadline_ms = 0);
-
-  // --- asynchronous variants (completion runs on the worker thread) --------
-  void AsyncGet(const Slice& key, std::string* value, Executor::Completion done,
-                int64_t deadline_ms = 0);
-  void AsyncPut(const Slice& key, const Slice& value, Executor::Completion done,
-                int64_t deadline_ms = 0);
-  void AsyncUpdate(const Slice& key, const Slice& value,
-                   Executor::Completion done, int64_t deadline_ms = 0);
-  void AsyncReadModifyWrite(
-      const Slice& key,
-      std::function<std::string(const std::string&)> modify,
-      Executor::Completion done, int64_t deadline_ms = 0);
 
   /// Globally key-ordered scan of [lo, hi] across all partitions; cb returns
   /// false to stop. Batches are fetched through the executor (deadline per

@@ -35,6 +35,10 @@ struct ReorgStats {
   uint64_t units_resumed = 0;   // forward-recovery completions
 };
 
+/// Retries per pass-1/pass-2 unit after a deadlock abort (the reorganizer
+/// is always the victim, §4.1).
+inline constexpr int kMaxUnitRetries = 16;
+
 struct ReorgContext {
   BTree* tree = nullptr;
   BufferPool* bp = nullptr;

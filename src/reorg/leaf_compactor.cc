@@ -179,7 +179,7 @@ Status LeafCompactor::PlanNextUnit(std::string* cursor, PageId* base_pid,
 Status LeafCompactor::ExecuteUnit(uint32_t unit, PageId base_pid,
                                   const std::vector<PageId>& sources,
                                   PageId dest, bool resume) {
-  for (int attempt = 0; attempt < options_.max_unit_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxUnitRetries; ++attempt) {
     Status s = ExecuteUnitOnce(unit, base_pid, sources, dest, resume);
     if (s.IsDeadlock()) {
       ++ctx_->stats->unit_retries;

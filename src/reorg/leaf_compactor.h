@@ -38,8 +38,6 @@ struct LeafCompactorOptions {
   /// Upper bound on leaves per unit (lock-hold bound; the paper compacts
   /// d = ceil(f2/f1) pages per unit on average).
   size_t max_group = 16;
-  /// Retries per unit after a deadlock abort.
-  int max_unit_retries = 16;
   /// If set, each unit executes inside this wrapper. The Smith '90 baseline
   /// uses it to hold a whole-tree X lock and run one database transaction
   /// per block operation.

@@ -43,8 +43,7 @@ Status SideFile::Record(Transaction* txn, BaseUpdateOp op, const Slice& key,
   // (last_lsn_) promises that entries_ reflects exactly the side records
   // up to it, which a gap between the append and the insert would break.
   std::lock_guard<std::mutex> g(mu_);
-  s = log_->Append(&rec);
-  if (!s.ok()) return s;
+  log_->Append(&rec);
   txn->set_last_lsn(rec.lsn);
   entries_.push_back(SideEntry{op, key.ToString(), leaf, ++next_seq_});
   last_lsn_ = rec.lsn;
@@ -86,16 +85,14 @@ Status SideFile::PopFront(SideEntry* entry, bool* empty) {
       continue;
     }
     // Log the application and pop under the same mutex hold so the
-    // checkpoint watermark stays exact; on append failure the entry stays
-    // queued (nothing was consumed) and the caller sees the error.
+    // checkpoint watermark stays exact.
     LogRecord rec;
     rec.type = LogType::kSideApply;
     rec.txn_id = kReorgTxnId;
     rec.unit_type = static_cast<uint8_t>(e.op);
     rec.key = e.key;
     rec.page_id = e.leaf;
-    Status s = log_->Append(&rec);
-    if (!s.ok()) return s;
+    log_->Append(&rec);
     last_lsn_ = rec.lsn;
     entries_.pop_front();
     break;
@@ -105,8 +102,8 @@ Status SideFile::PopFront(SideEntry* entry, bool* empty) {
   return Status::OK();
 }
 
-Status SideFile::Cancel(Transaction* txn, BaseUpdateOp op, const Slice& key,
-                        PageId leaf) {
+void SideFile::Cancel(Transaction* txn, BaseUpdateOp op, const Slice& key,
+                      PageId leaf) {
   std::lock_guard<std::mutex> g(mu_);
   auto found = entries_.rend();
   for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
@@ -115,7 +112,7 @@ Status SideFile::Cancel(Transaction* txn, BaseUpdateOp op, const Slice& key,
       break;
     }
   }
-  if (found == entries_.rend()) return Status::OK();
+  if (found == entries_.rend()) return;
   // Log first, erase second, all under the mutex: the erase must never be
   // visible (to a checkpoint's Serialize) without its record accounted in
   // the watermark, and an unlogged erase would resurrect as a phantom when
@@ -127,12 +124,10 @@ Status SideFile::Cancel(Transaction* txn, BaseUpdateOp op, const Slice& key,
   rec.unit_type = static_cast<uint8_t>(op);
   rec.key = key.ToString();
   rec.page_id = leaf;
-  Status s = log_->Append(&rec);
-  if (!s.ok()) return s;
+  log_->Append(&rec);
   txn->set_last_lsn(rec.lsn);
   last_lsn_ = rec.lsn;
   entries_.erase(std::next(found).base());
-  return Status::OK();
 }
 
 void SideFile::RedoCancel(BaseUpdateOp op, const Slice& key, PageId leaf) {

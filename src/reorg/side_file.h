@@ -78,8 +78,8 @@ class SideFile {
   /// will be retried or abandoned: drop the newest matching entry and log
   /// kSideCancel under the transaction's chain. No-op if nothing matches
   /// (the hook may not have recorded anything).
-  Status Cancel(Transaction* txn, BaseUpdateOp op, const Slice& key,
-                PageId leaf);
+  void Cancel(Transaction* txn, BaseUpdateOp op, const Slice& key,
+              PageId leaf);
 
   /// Undo of a kSideInsert (user transaction rollback): drop the newest
   /// matching entry.

@@ -188,7 +188,7 @@ Status SwapPass::Run() {
 }
 
 Status SwapPass::SwapUnit(uint32_t unit, PageId a, PageId b, bool resume) {
-  for (int attempt = 0; attempt < options_.max_unit_retries; ++attempt) {
+  for (int attempt = 0; attempt < kMaxUnitRetries; ++attempt) {
     Status s = SwapUnitOnce(unit, a, b, resume);
     if (s.IsDeadlock()) {
       ++ctx_->stats->unit_retries;

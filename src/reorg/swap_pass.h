@@ -25,7 +25,6 @@
 namespace soreorg {
 
 struct SwapPassOptions {
-  int max_unit_retries = 16;
   /// See LeafCompactorOptions::unit_wrapper.
   std::function<Status(const std::function<Status()>&)> unit_wrapper;
 };

@@ -70,29 +70,11 @@ struct SwitcherOptions {
   /// Per-attempt bound on the old-tree X-lock wait (§7.4's time limit).
   int64_t old_tree_timeout_ms = 2000;
   int max_wait_rounds = 30;
-  /// Side-file X lock retry policy (step 1 and every step-aside
-  /// re-acquire). The reorganizer always loses deadlocks (§4.1), so under
-  /// updater pressure the lock attempt can fail many times in a row; each
-  /// retry backs off exponentially with full jitter (uniform in
-  /// [delay/2, delay]) so retries do not chase the same conflict window,
-  /// starting at `side_lock_backoff_min_us` and capped at
-  /// `side_lock_backoff_max_us`.
-  int max_side_lock_attempts = 1024;
-  int64_t side_lock_backoff_min_us = 50;
-  int64_t side_lock_backoff_max_us = 20000;
-  /// Jitter seed. 0 (the default) derives a distinct per-instance seed —
-  /// concurrent switchers sharing one constant would back off in lockstep
-  /// and collide on every retry. Set an explicit nonzero value only when a
-  /// test needs a reproducible jitter sequence.
-  uint64_t backoff_seed = 0;
-
-  /// Step-aside protocol (the §7.4 deadlock fix). Disabled only by the
-  /// regression test that pins the legacy deadlock behaviour.
-  bool enable_step_aside = true;
   /// Hard cap on step-aside rounds. Progress is guaranteed (each round
   /// retires at least one parked old-tree updater and no new ones can
   /// appear post-flip), so this only bounds pathological schedules; when it
-  /// trips the switcher rolls forward and returns TimedOut.
+  /// trips the switcher rolls forward and returns TimedOut. 0 gives the
+  /// literal §7.4 protocol, which rolls forward on the first failed round.
   int max_step_asides = 64;
   /// How long a step-aside waits for the side file to grow before
   /// re-acquiring the X lock anyway. The growth signal means a parked
@@ -146,11 +128,23 @@ class Switcher {
  public:
   Switcher(ReorgContext* ctx, SideFile* side_file, SwitcherOptions options);
 
+  /// Resets *stats, then runs steps 1-6.
   Status Switch(TreeBuilder* builder, SwitchStats* stats);
 
  private:
   /// Acquire the side-file X lock with jittered exponential backoff.
   Status AcquireSideX(SwitchStats* stats);
+  /// Release the side-file X lock, let parked updaters record and retire
+  /// (wait for the side file to grow, or step_aside_wait_ms), re-acquire.
+  Status StepAside(SwitchStats* stats);
+  /// Drain the side file, stepping aside while the drain loses deadlocks to
+  /// parked updaters. *side_held says whether the X lock is held on return.
+  Status DrainSteppingAside(TreeBuilder* builder, SwitchStats* stats,
+                            bool* side_held);
+  /// Dismantle the pass-3 state: close the side file, clear the
+  /// reorganization bit, the hooks and the pass-3 table entry, and leave
+  /// the switch window.
+  void EndPass3();
 
   ReorgContext* ctx_;
   SideFile* side_file_;

@@ -15,17 +15,15 @@ TreeBuilder::TreeBuilder(ReorgContext* ctx, SideFile* side_file,
   // force-write are reclaimed at recovery. Logging happens inside the
   // builder, before the new page is formatted, so a recycled page id gets
   // its LSN stamp before its unlogged image can ever reach disk.
-  builder_.set_alloc_logger([this](PageId pid, Lsn* stamp) {
+  builder_.set_alloc_logger([this](PageId pid) {
     LogRecord alloc;
     alloc.type = LogType::kAllocPage;
     alloc.txn_id = kReorgTxnId;
     alloc.page_id = pid;
     alloc.flags = 1;  // pass-3 allocation (reclaimable past the stable key)
-    Status s = ctx_->log->Append(&alloc);
-    if (!s.ok()) return s;
-    *stamp = alloc.lsn;
+    ctx_->log->Append(&alloc);
     ++pages_since_stable_;
-    return Status::OK();
+    return alloc.lsn;
   });
 }
 

@@ -38,7 +38,7 @@ void TortureHarness::ArmStepAside(Database* db) {
   // value. Commit restores the exact model state; a crash mid-transaction
   // rolls the loser back to it — so verification holds at every crash
   // point. The statuses are deliberately dropped: once the armed fault
-  // fires every operation (including Abort) fails with kCrashed.
+  // fires every operation (including Abort) fails with IOError.
   const auto& kv = model_[model_.size() / 2];
   sw->on_step_aside = [db, kv]() {
     Transaction* txn = db->Begin();

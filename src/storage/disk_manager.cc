@@ -143,11 +143,6 @@ bool DiskManager::IsFree(PageId page_id) const {
   return free_pages_.count(page_id) > 0;
 }
 
-bool DiskManager::IsAllocated(PageId page_id) const {
-  std::lock_guard<std::mutex> g(mu_);
-  return page_id < next_page_id_ && free_pages_.count(page_id) == 0;
-}
-
 PageId DiskManager::page_count() const {
   std::lock_guard<std::mutex> g(mu_);
   return next_page_id_;

@@ -63,7 +63,6 @@ class DiskManager {
   PageId FirstFreeInRange(PageId lo, PageId hi) const;
 
   bool IsFree(PageId page_id) const;
-  bool IsAllocated(PageId page_id) const;
 
   /// One past the highest page id ever used (file size in pages).
   PageId page_count() const;

@@ -39,9 +39,9 @@ namespace {
 
 class MemFile : public File {
  public:
-  MemFile(MemEnv* env, std::string name,
-          std::shared_ptr<MemEnv::FileState> state, std::mutex* mu)
-      : env_(env), name_(std::move(name)), state_(std::move(state)), mu_(mu) {}
+  MemFile(MemEnv* env, std::shared_ptr<MemEnv::FileState> state,
+          std::mutex* mu)
+      : env_(env), state_(std::move(state)), mu_(mu) {}
 
   Status Read(uint64_t offset, size_t n, char* buf,
               size_t* out_n) const override {
@@ -59,9 +59,6 @@ class MemFile : public File {
   }
 
   Status Write(uint64_t offset, const Slice& data) override {
-    if (!env_->BeforeWrite(name_, "write", data.size())) {
-      return Status::Crashed("injected fault on write to " + name_);
-    }
     std::lock_guard<std::mutex> g(*mu_);
     std::string& img = state_->volatile_image;
     if (img.size() < offset + data.size()) img.resize(offset + data.size());
@@ -70,18 +67,12 @@ class MemFile : public File {
   }
 
   Status Append(const Slice& data) override {
-    if (!env_->BeforeWrite(name_, "append", data.size())) {
-      return Status::Crashed("injected fault on append to " + name_);
-    }
     std::lock_guard<std::mutex> g(*mu_);
     state_->volatile_image.append(data.data(), data.size());
     return Status::OK();
   }
 
   Status Sync() override {
-    if (!env_->BeforeWrite(name_, "sync", 0)) {
-      return Status::Crashed("injected fault on sync of " + name_);
-    }
     std::lock_guard<std::mutex> g(*mu_);
     env_->bytes_synced_ +=
         state_->volatile_image.size() > state_->durable.size()
@@ -107,7 +98,6 @@ class MemFile : public File {
 
  private:
   MemEnv* env_;
-  std::string name_;
   std::shared_ptr<MemEnv::FileState> state_;
   std::mutex* mu_;
 };
@@ -126,7 +116,7 @@ Status MemEnv::NewFile(const std::string& name, std::unique_ptr<File>* file) {
       state = it->second;
     }
   }
-  *file = std::make_unique<MemFile>(this, name, std::move(state), &mu_);
+  *file = std::make_unique<MemFile>(this, std::move(state), &mu_);
   return Status::OK();
 }
 
@@ -161,9 +151,6 @@ Status MemEnv::ListFiles(const std::string& prefix,
 }
 
 Status MemEnv::RenameFile(const std::string& from, const std::string& to) {
-  if (!BeforeWrite(to, "rename", 0)) {
-    return Status::Crashed("injected fault on rename to " + to);
-  }
   std::lock_guard<std::mutex> g(mu_);
   auto it = files_.find(from);
   if (it == files_.end() || !it->second->exists) {
@@ -176,19 +163,13 @@ Status MemEnv::RenameFile(const std::string& from, const std::string& to) {
   return Status::OK();
 }
 
-Status MemEnv::SyncDir(const std::string& hint) {
-  if (!BeforeWrite(hint, "dirsync", 0)) {
-    return Status::Crashed("injected fault on dirsync of " + hint);
-  }
-  return Status::OK();
-}
+Status MemEnv::SyncDir(const std::string&) { return Status::OK(); }
 
 void MemEnv::Crash() {
   std::lock_guard<std::mutex> g(mu_);
   for (auto& [name, state] : files_) {
     state->volatile_image = state->durable;
   }
-  crashed_ = false;
 }
 
 Status MemEnv::SyncRange(const std::string& name, uint64_t offset, size_t n) {
@@ -206,16 +187,6 @@ Status MemEnv::SyncRange(const std::string& name, uint64_t offset, size_t n) {
   return Status::OK();
 }
 
-void MemEnv::set_write_observer(WriteObserver obs) {
-  std::lock_guard<std::mutex> g(mu_);
-  observer_ = std::move(obs);
-}
-
-bool MemEnv::crashed() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return crashed_;
-}
-
 uint64_t MemEnv::bytes_synced() const {
   std::lock_guard<std::mutex> g(mu_);
   return bytes_synced_;
@@ -224,21 +195,6 @@ uint64_t MemEnv::bytes_synced() const {
 uint64_t MemEnv::sync_count() const {
   std::lock_guard<std::mutex> g(mu_);
   return sync_count_;
-}
-
-bool MemEnv::BeforeWrite(const std::string& name, const char* op, size_t n) {
-  WriteObserver obs;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    if (crashed_) return false;
-    obs = observer_;
-  }
-  if (obs && !obs(name, op, n)) {
-    std::lock_guard<std::mutex> g(mu_);
-    crashed_ = true;
-    return false;
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------

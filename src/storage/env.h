@@ -7,15 +7,13 @@
 //    rolls every file back to its durable image. This is how the test suite
 //    and the forward-recovery benchmarks simulate "system failure" while
 //    exercising the exact WAL / careful-writing code paths a real disk would.
-//
-// MemEnv also accepts a WriteObserver hook so the crash injector can fault
-// the system at the N-th write or sync.
+//    FaultInjectionEnv (fault_env.h) wraps a MemEnv to fail or tear the N-th
+//    write, append, sync, rename, directory sync or delete.
 
 #ifndef SOREORG_STORAGE_ENV_H_
 #define SOREORG_STORAGE_ENV_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -87,12 +85,6 @@ bool WalAwareSuffixMatch(const std::string& name, const std::string& suffix);
 /// In-memory Env with crash simulation. Thread-safe.
 class MemEnv : public Env {
  public:
-  /// Called before each write/append/sync with (file name, op, size). If it
-  /// returns false the operation fails with Status::Crashed and the Env
-  /// enters the crashed state (every later op fails until Crash()+Recover()).
-  using WriteObserver =
-      std::function<bool(const std::string& name, const char* op, size_t n)>;
-
   MemEnv() = default;
 
   Status NewFile(const std::string& name,
@@ -102,15 +94,14 @@ class MemEnv : public Env {
   Status ListFiles(const std::string& prefix,
                    std::vector<std::string>* out) const override;
   /// Modeled as durable-immediately (the rotation protocol always SyncDirs
-  /// right after, and the crash-just-before case is covered by failing the
-  /// rename op itself via the observer). Routed through BeforeWrite with op
-  /// "rename" so the fault injector can crash mid-rotation.
+  /// right after, and the crash-just-before case is covered by
+  /// FaultInjectionEnv failing the rename op itself).
   Status RenameFile(const std::string& from, const std::string& to) override;
-  /// Counted no-op (op "dirsync") — MemEnv metadata is always durable.
+  /// No-op — MemEnv metadata is always durable.
   Status SyncDir(const std::string& hint) override;
 
-  /// Simulate a system failure: discard all un-synced writes, clear the
-  /// crashed flag. Open File handles remain usable and see durable state.
+  /// Simulate a system failure: discard all un-synced writes. Open File
+  /// handles remain usable and see durable state.
   void Crash();
 
   /// Promote bytes [offset, offset+n) of `name`'s volatile image into the
@@ -119,11 +110,6 @@ class MemEnv : public Env {
   /// cut that persisted only a prefix of a page write — the prefix must
   /// survive the subsequent Crash() or the tear would be invisible.
   Status SyncRange(const std::string& name, uint64_t offset, size_t n);
-
-  void set_write_observer(WriteObserver obs);
-
-  /// True once an injected fault has fired (until Crash() clears it).
-  bool crashed() const;
 
   /// Total bytes synced across all files (for I/O accounting in benches).
   uint64_t bytes_synced() const;
@@ -139,17 +125,12 @@ class MemEnv : public Env {
     bool exists = true;
   };
 
-  // Returns false (and sets crashed_) if the observer vetoes the operation.
-  bool BeforeWrite(const std::string& name, const char* op, size_t n);
-
   uint64_t bytes_synced_ = 0;
   uint64_t sync_count_ = 0;
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<FileState>> files_;
-  WriteObserver observer_;
-  bool crashed_ = false;
 };
 
 /// Real files via POSIX pread/pwrite/fsync.

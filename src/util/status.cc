@@ -27,8 +27,6 @@ const char* CodeName(Status::Code code) {
       return "TimedOut";
     case Status::Code::kNotSupported:
       return "NotSupported";
-    case Status::Code::kCrashed:
-      return "Crashed";
   }
   return "Unknown";
 }

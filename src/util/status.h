@@ -32,7 +32,6 @@ class Status {
     kAborted = 8,
     kTimedOut = 9,
     kNotSupported = 10,
-    kCrashed = 11,  // simulated system failure (crash injection)
   };
 
   Status() : code_(Code::kOk) {}
@@ -68,9 +67,6 @@ class Status {
   static Status NotSupported(std::string msg = "") {
     return Status(Code::kNotSupported, std::move(msg));
   }
-  static Status Crashed(std::string msg = "") {
-    return Status(Code::kCrashed, std::move(msg));
-  }
 
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }
@@ -83,7 +79,6 @@ class Status {
   bool IsAborted() const { return code_ == Code::kAborted; }
   bool IsTimedOut() const { return code_ == Code::kTimedOut; }
   bool IsNotSupported() const { return code_ == Code::kNotSupported; }
-  bool IsCrashed() const { return code_ == Code::kCrashed; }
 
   Code code() const { return code_; }
   const std::string& message() const { return msg_; }

@@ -302,7 +302,7 @@ std::vector<LogManager::SegmentPtr> LogManager::SnapshotSegments() const {
   return std::vector<SegmentPtr>(segments_.begin(), segments_.end());
 }
 
-Status LogManager::Append(LogRecord* rec) {
+void LogManager::Append(LogRecord* rec) {
   bool over_limit;
   {
     std::lock_guard<std::mutex> g(mu_);
@@ -325,9 +325,9 @@ Status LogManager::Append(LogRecord* rec) {
     over_limit = buffer_.size() > buffer_limit_;
   }
   // The capacity flush runs through the group-commit path with mu_
-  // released, so serialization never waits on file I/O.
-  if (over_limit) return Flush();
-  return Status::OK();
+  // released, so serialization never waits on file I/O. Its error stays
+  // with the buffered bytes for the next Flush/FlushTo to report.
+  if (over_limit) Flush();
 }
 
 void LogManager::set_buffer_limit(size_t bytes) {
@@ -336,8 +336,7 @@ void LogManager::set_buffer_limit(size_t bytes) {
 }
 
 Status LogManager::AppendAndFlush(LogRecord* rec) {
-  Status s = Append(rec);
-  if (!s.ok()) return s;
+  Append(rec);
   return FlushTo(rec->lsn);
 }
 
@@ -430,8 +429,7 @@ Status LogManager::WriteBatch(const std::string& batch, Lsn batch_off,
     while (done + take + kFrameHeader <= batch.size()) {
       uint32_t len = DecodeFixed32(batch.data() + done + take);
       uint64_t frame = kFrameHeader + len;
-      if (opts_.segment_bytes != 0 &&
-          tail->data_size + take + frame > opts_.segment_bytes &&
+      if (tail->data_size + take + frame > opts_.segment_bytes &&
           !(tail->data_size == 0 && take == 0)) {
         break;
       }

@@ -83,9 +83,8 @@ struct LogReadStats {
 };
 
 struct LogManagerOptions {
-  /// Segment data capacity (excluding the header). 0 = unbounded: a single
-  /// segment, behaviorally the old flat log. A frame larger than this still
-  /// gets written (alone, in an otherwise empty segment).
+  /// Segment data capacity (excluding the header). A frame larger than this
+  /// still gets written (alone, in an otherwise empty segment).
   uint64_t segment_bytes = 4 * 1024 * 1024;
   /// Max truncated segments parked for reuse instead of deleted.
   size_t recycle_max = 2;
@@ -102,9 +101,12 @@ class LogManager {
   /// valid one in the same segment — is Corruption, never self-healed.
   Status Open();
 
-  /// Assign an LSN, buffer the record. Flushes only when the in-memory
-  /// buffer exceeds its cap (group-commit style). rec->lsn is set.
-  Status Append(LogRecord* rec);
+  /// Assign an LSN, buffer the record; rec->lsn is set. Cannot fail: once
+  /// it has an LSN the record is in the log. When the in-memory buffer
+  /// exceeds its cap Append also flushes (group-commit style); a failure of
+  /// that flush leaves the bytes buffered, and the next Flush/FlushTo
+  /// retries them and reports the error.
+  void Append(LogRecord* rec);
 
   /// Cap on the in-memory log buffer; exceeding it triggers a flush on the
   /// next Append (default 256 KiB). Small caps make WAL writes frequent —

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -63,24 +65,35 @@ TEST(ExecutorTest, RunsTasksAndReturnsTheirStatus) {
   EXPECT_EQ(2u, st.executed);
 }
 
+// Submit always queues, so every task sent to lane 0 runs on its worker.
 TEST(ExecutorTest, SameWorkerIsOneThread) {
   ExecutorOptions opts;
   opts.workers = 2;
-  opts.inline_when_idle = false;  // pin the strict worker-thread mode
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::thread::id> tids;
   Executor ex(opts);
-  std::thread::id first{};
   for (int i = 0; i < 8; ++i) {
-    std::thread::id tid;
-    ASSERT_TRUE(
-        ex.Execute(0, [&tid]() {
-            tid = std::this_thread::get_id();
-            return Status::OK();
-          }).ok());
-    if (i == 0) {
-      first = tid;
-    } else {
-      EXPECT_EQ(first, tid) << "worker 0 must be a single pinned thread";
-    }
+    ex.Submit(
+        0,
+        [&]() {
+          std::lock_guard<std::mutex> lk(mu);
+          tids.push_back(std::this_thread::get_id());
+          return Status::OK();
+        },
+        [&](Status s) {
+          EXPECT_TRUE(s.ok());
+          cv.notify_all();
+        });
+  }
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&]() { return tids.size() == 8; });
+  }
+  ex.Shutdown();  // the last completion is done with cv
+  for (const std::thread::id& tid : tids) {
+    EXPECT_NE(std::this_thread::get_id(), tid);
+    EXPECT_EQ(tids.front(), tid) << "worker 0 must be a single pinned thread";
   }
 }
 
@@ -90,7 +103,7 @@ TEST(ExecutorTest, SameWorkerIsOneThread) {
 TEST(ExecutorTest, InlineWhenIdleRunsOnCallerUntilLaneIsBusy) {
   ExecutorOptions opts;
   opts.workers = 1;
-  Executor ex(opts);  // inline_when_idle defaults on
+  Executor ex(opts);
 
   // Idle lane: the task runs right here.
   std::thread::id inline_tid;

@@ -2,7 +2,8 @@
 // crash is FINISHED at restart, not rolled back — and the rollback policy
 // (the conventional alternative) is validated as the E4 ablation.
 
-#include "src/storage/fault_env.h"
+#include <cstdio>
+
 #include "tests/test_util.h"
 
 namespace soreorg {
@@ -17,15 +18,13 @@ class ForwardRecoveryTest : public DbFixture {
     ASSERT_TRUE(db_->Checkpoint().ok());
   }
 
-  /// Run the leaf pass with a crash injected at the n-th WAL write; returns
-  /// false if the pass finished before the crash fired.
-  bool CrashDuringLeafPass(int wal_write_n) {
-    injector_->ArmAfterOps(wal_write_n, "soreorg.wal");
-    Status s = db_->reorganizer()->RunLeafPass();
-    bool fired = injector_->fired();
-    injector_->Disarm();
-    (void)s;
-    return fired;
+  /// Run the leaf pass with a crash injected at the n-th write-like op on
+  /// the WAL; returns false if the pass finished before the crash fired.
+  bool CrashDuringLeafPass(int wal_op_n) {
+    env_->FailOpAfter(wal_op_n, "soreorg.wal", "");
+    db_->reorganizer()->RunLeafPass();  // the status is the crash itself
+    env_->Disarm();
+    return env_->fault_fired();
   }
 
   std::vector<uint64_t> survivors_;
@@ -49,12 +48,14 @@ TEST_F(ForwardRecoveryTest, CrashMidUnitThenForwardCompletion) {
 
 TEST_F(ForwardRecoveryTest, SweepCrashPointsAcrossTheFirstUnits) {
   // Crash at every WAL write boundary through the first few units.
+  int fired = 0;
   for (int crash_at = 2; crash_at <= 30; ++crash_at) {
     OpenDb(DatabaseOptions());
     SparsifyAndCheckpoint(1500, static_cast<uint64_t>(crash_at));
     if (!CrashDuringLeafPass(crash_at)) {
       continue;  // pass finished before this point; later points too
     }
+    ++fired;
     db_.reset();
     env_->Crash();
     ASSERT_TRUE(Database::Open(env_.get(), options_, &db_).ok())
@@ -65,6 +66,8 @@ TEST_F(ForwardRecoveryTest, SweepCrashPointsAcrossTheFirstUnits) {
         << "crash at " << crash_at;
     EXPECT_EQ(CountRecords(), survivors_.size()) << "crash at " << crash_at;
   }
+  std::fprintf(stderr, "[sweep] first-units fired=%d of 29\n", fired);
+  EXPECT_GE(fired, 21);  // coverage floor: 21 of the 29 points land in the pass
 }
 
 TEST_F(ForwardRecoveryTest, ForwardRecoveryPreservesFinishedUnits) {
@@ -110,12 +113,14 @@ TEST_F(ForwardRecoveryTest, RollbackPolicyUndoesTheIncompleteUnit) {
 }
 
 TEST_F(ForwardRecoveryTest, RollbackPolicySweep) {
+  int fired = 0;
   for (int crash_at = 3; crash_at <= 24; crash_at += 3) {
     DatabaseOptions opts;
     opts.recovery_policy = RecoveryPolicy::kRollback;
     OpenDb(opts);
     SparsifyAndCheckpoint(1500, static_cast<uint64_t>(crash_at) + 100);
     if (!CrashDuringLeafPass(crash_at)) continue;
+    ++fired;
     db_.reset();
     env_->Crash();
     ASSERT_TRUE(Database::Open(env_.get(), options_, &db_).ok())
@@ -124,6 +129,8 @@ TEST_F(ForwardRecoveryTest, RollbackPolicySweep) {
         << "crash at " << crash_at;
     EXPECT_EQ(CountRecords(), survivors_.size()) << "crash at " << crash_at;
   }
+  std::fprintf(stderr, "[sweep] rollback fired=%d of 8\n", fired);
+  EXPECT_GE(fired, 7);
 }
 
 TEST_F(ForwardRecoveryTest, CrashDuringSwapPassRecovers) {
@@ -131,11 +138,9 @@ TEST_F(ForwardRecoveryTest, CrashDuringSwapPassRecovers) {
   ASSERT_TRUE(db_->reorganizer()->RunLeafPass().ok());
   ASSERT_TRUE(db_->Checkpoint().ok());
 
-  injector_->ArmAfterOps(4, "soreorg.wal");
+  env_->FailOpAfter(4, "soreorg.wal", "");
   db_->reorganizer()->RunSwapPass();
-  bool fired = injector_->fired();
-  injector_->Disarm();
-  if (!fired) GTEST_SKIP() << "swap pass finished before the crash point";
+  ASSERT_TRUE(env_->fault_fired());
 
   db_.reset();
   env_->Crash();
@@ -155,13 +160,11 @@ TEST_F(ForwardRecoveryTest, CrashDuringPass3RestartsFromStableKey) {
   ASSERT_TRUE(db_->reorganizer()->RunLeafPass().ok());
   ASSERT_TRUE(db_->Checkpoint().ok());
 
-  // Crash partway through the internal-page build (page-file writes come
-  // from the stable-point force writes).
-  injector_->ArmAfterOps(3, "soreorg.pages", "sync");
+  // Crash partway through the internal-page build, at the page-file sync
+  // of the first stable-point force write (this build makes only one).
+  env_->FailOpAfter(1, "soreorg.pages", "sync");
   db_->reorganizer()->RunInternalPass();
-  bool fired = injector_->fired();
-  injector_->Disarm();
-  if (!fired) GTEST_SKIP() << "pass 3 finished before the crash point";
+  ASSERT_TRUE(env_->fault_fired());
 
   db_.reset();
   env_->Crash();
@@ -177,8 +180,8 @@ TEST_F(ForwardRecoveryTest, CrashDuringPass3RestartsFromStableKey) {
 }
 
 // ---------------------------------------------------------------------------
-// FaultInjectionEnv crash-point sweeps. Unlike the CrashInjector tests above
-// (which crash at hand-picked WAL writes), these count the I/O points of one
+// Whole-pass crash-point sweeps. Unlike the tests above (which crash at
+// hand-picked WAL operations), these count the I/O points of one
 // specific pass with a dry run and then crash at points across the whole
 // pass — including every point of pass 3 and the switch, where the
 // incarnation dichotomy must hold: a recovered incarnation above the

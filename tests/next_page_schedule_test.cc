@@ -34,7 +34,7 @@ class NextPageScheduleTest : public ::testing::TestWithParam<bool> {
  protected:
   void Open(size_t pool_pages = 4096) {
     DatabaseOptions options;
-    options.optimistic_reads = GetParam();
+    options.tree.optimistic_reads = GetParam();
     options.buffer_pool_pages = pool_pages;
     ASSERT_TRUE(Database::Open(&env_, options, &db_).ok());
   }

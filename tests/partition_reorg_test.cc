@@ -27,9 +27,6 @@ TEST(PartitionReorgTest, GetsServedOnAllPartitionsWhilePartitionZeroReorgs) {
   opts.partitions = 4;
   opts.base.buffer_pool_pages = 512;
   opts.executor.workers = 2;
-  // Every Get must actually flow through the worker lanes here — the inline
-  // fast path would serve idle-lane ops on the reader threads themselves.
-  opts.executor.inline_when_idle = false;
   // Force a deterministic step-aside round in partition 0's switch so the
   // release-reacquire window is part of the schedule, not a lucky race.
   opts.base.reorg.switcher.force_step_asides = 1;
@@ -120,9 +117,6 @@ TEST(PartitionReorgTest, WritesToOtherPartitionsProceedDuringReorg) {
   opts.partitions = 4;
   opts.base.buffer_pool_pages = 512;
   opts.executor.workers = 2;
-  // Every Get must actually flow through the worker lanes here — the inline
-  // fast path would serve idle-lane ops on the reader threads themselves.
-  opts.executor.inline_when_idle = false;
   opts.base.reorg.switcher.force_step_asides = 1;
   opts.base.reorg.switcher.step_aside_wait_ms = 25;
   std::unique_ptr<PartitionedDatabase> pdb;

@@ -49,7 +49,7 @@ struct Fixture {
 
   explicit Fixture(bool optimistic, uint64_t n = 500) {
     DatabaseOptions options;
-    options.optimistic_reads = optimistic;
+    options.tree.optimistic_reads = optimistic;
     EXPECT_TRUE(Database::Open(&env, options, &db).ok());
     Random rng(99);
     for (uint64_t i = 0; i < n; ++i) {
@@ -128,6 +128,24 @@ TEST(ReadPathTest, DisabledPathMatchesShadowMapAndStaysCold) {
   EXPECT_EQ(st.optimistic_gets, 0u);
   EXPECT_EQ(st.optimistic_batches, 0u);
   EXPECT_EQ(st.fallbacks, 0u);
+}
+
+// BTreeOptions::optimistic_reads is the only switch: set through
+// DatabaseOptions::tree, it alone keeps every Get off the optimistic path.
+TEST(ReadPathTest, TreeOptionAloneTurnsOptimisticGetsOff) {
+  MemEnv env;
+  DatabaseOptions options;
+  options.tree.optimistic_reads = false;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(&env, options, &db).ok());
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(db->Put(EncodeU64Key(i), "v").ok());
+  }
+  std::string value;
+  for (uint64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(db->Get(EncodeU64Key(i), &value).ok());
+  }
+  EXPECT_EQ(db->tree()->read_path_stats().optimistic_gets, 0u);
 }
 
 // The trace property behind "off reproduces today's behaviour": a

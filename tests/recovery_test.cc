@@ -1,5 +1,7 @@
 // Redo / undo recovery tests (the standard ARIES-lite part).
 
+#include <functional>
+
 #include "tests/test_util.h"
 
 namespace soreorg {
@@ -115,14 +117,13 @@ TEST_F(RecoveryTest, CrashDuringHeavyChurnAtEveryTenthWalWrite) {
     }
     ASSERT_TRUE(db_->Checkpoint().ok());
 
-    injector_->ArmAfterOps(crash_at, "soreorg.wal");
+    env_->FailOpAfter(crash_at, "soreorg.wal", "");
     // Churn until the injected crash fires.
-    for (int i = 0; i < 10000 && !injector_->fired(); ++i) {
+    for (int i = 0; i < 10000 && !env_->fault_fired(); ++i) {
       uint64_t k = static_cast<uint64_t>(1000 + i);
       db_->Put(EncodeU64Key(k), "churn");
     }
-    ASSERT_TRUE(injector_->fired()) << "crash point " << crash_at;
-    injector_->Disarm();
+    ASSERT_TRUE(env_->fault_fired()) << "crash point " << crash_at;
     db_.reset();
     env_->Crash();
     ASSERT_TRUE(Database::Open(env_.get(), options_, &db_).ok())
@@ -136,6 +137,72 @@ TEST_F(RecoveryTest, CrashDuringHeavyChurnAtEveryTenthWalWrite) {
           << "crash point " << crash_at << " key " << i;
     }
   }
+}
+
+// LogManager::Append cannot fail: once a record has an LSN it is in the log,
+// so the operation that logged it must not report a failure. With a 1-byte
+// buffer cap every Append flushes, and a transient fault on the first WAL
+// write (or sync) after the operation starts fails that flush. Whatever the
+// operation returns, Get must agree with it — in memory and after a restart
+// from durable state.
+class AppendFaultTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  void SetUp() override {
+    options_.log_buffer_bytes = 1;
+    env_ = std::make_unique<FaultInjectionEnv>(&base_);
+    ASSERT_TRUE(Database::Open(env_.get(), options_, &db_).ok());
+  }
+
+  /// Runs `op` under the armed fault. `key` must then read `after` if the op
+  /// succeeded and `before` if it failed ("" = absent).
+  void RunAndCheck(const std::function<Status()>& op, const std::string& before,
+                   const std::string& after) {
+    env_->FailOpAfter(1, ".wal", GetParam(), /*transient=*/true);
+    Status s = op();
+    ASSERT_TRUE(env_->fault_fired());
+    const std::string& want = s.ok() ? after : before;
+    ExpectReads(want, s);
+    env_->FailOpAfter(1, "", "");  // the close may make nothing durable
+    db_.reset();
+    env_->Crash();
+    ASSERT_TRUE(Database::Open(env_.get(), options_, &db_).ok());
+    ExpectReads(want, s);
+  }
+
+  void ExpectReads(const std::string& want, const Status& op) {
+    std::string v;
+    Status g = db_->Get(key_, &v);
+    if (want.empty()) {
+      EXPECT_TRUE(g.IsNotFound()) << "op: " << op.ToString() << ", read " << v;
+    } else {
+      ASSERT_TRUE(g.ok()) << "op: " << op.ToString() << ", Get: "
+                          << g.ToString();
+      EXPECT_EQ(v, want) << "op: " << op.ToString();
+    }
+  }
+
+  MemEnv base_;
+  std::unique_ptr<FaultInjectionEnv> env_;
+  DatabaseOptions options_;
+  std::unique_ptr<Database> db_;
+  const std::string key_ = EncodeU64Key(7);
+};
+
+INSTANTIATE_TEST_SUITE_P(WalOp, AppendFaultTest,
+                         ::testing::Values("write", "sync"));
+
+TEST_P(AppendFaultTest, PutStatusAgreesWithReads) {
+  RunAndCheck([&] { return db_->Put(key_, "v1"); }, "", "v1");
+}
+
+TEST_P(AppendFaultTest, UpdateStatusAgreesWithReads) {
+  ASSERT_TRUE(db_->Put(key_, "v0").ok());
+  RunAndCheck([&] { return db_->Update(key_, "v1"); }, "v0", "v1");
+}
+
+TEST_P(AppendFaultTest, DeleteStatusAgreesWithReads) {
+  ASSERT_TRUE(db_->Put(key_, "v0").ok());
+  RunAndCheck([&] { return db_->Delete(key_); }, "v0", "");
 }
 
 }  // namespace

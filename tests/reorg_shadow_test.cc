@@ -257,7 +257,7 @@ Tally RunOnce(bool optimistic, Scenario scenario, uint64_t seed) {
   tally.runs = 1;
   MemEnv env;
   DatabaseOptions options;
-  options.optimistic_reads = optimistic;
+  options.tree.optimistic_reads = optimistic;
   options.buffer_pool_pages = 128;     // several times smaller than the tree
   options.wal_segment_bytes = 64 << 10;  // each commit's sync copies less
   std::unique_ptr<Database> db;

@@ -1,5 +1,4 @@
-// Simulation-layer tests: disk cost model, workload generators, crash
-// injector.
+// Simulation-layer tests: disk cost model and workload generators.
 
 #include "src/sim/disk_model.h"
 #include "tests/test_util.h"
@@ -86,35 +85,6 @@ TEST(WorkloadTest, ConcurrentDriverProducesOps) {
   EXPECT_EQ(st.failures, 0u);
   EXPECT_GT(st.reads, 0u);
   EXPECT_TRUE(db->tree()->CheckConsistency().ok());
-}
-
-TEST(CrashInjectorTest, FiresAtExactOperation) {
-  MemEnv env;
-  CrashInjector inj(&env);
-  std::unique_ptr<File> f;
-  ASSERT_TRUE(env.NewFile("data.wal", &f).ok());
-  inj.ArmAfterOps(3, ".wal", "append");
-  EXPECT_TRUE(f->Append("1").ok());
-  EXPECT_TRUE(f->Append("2").ok());
-  EXPECT_TRUE(f->Append("3").IsCrashed());
-  EXPECT_TRUE(inj.fired());
-  inj.Disarm();
-  env.Crash();
-  EXPECT_TRUE(f->Append("4").ok());
-}
-
-TEST(CrashInjectorTest, FiltersByFileAndOp) {
-  MemEnv env;
-  CrashInjector inj(&env);
-  std::unique_ptr<File> wal, pages;
-  ASSERT_TRUE(env.NewFile("x.wal", &wal).ok());
-  ASSERT_TRUE(env.NewFile("x.pages", &pages).ok());
-  inj.ArmAfterOps(1, ".pages", "sync");
-  EXPECT_TRUE(wal->Append("a").ok());
-  EXPECT_TRUE(wal->Sync().ok());
-  EXPECT_TRUE(pages->Write(0, "b").ok());
-  EXPECT_TRUE(pages->Sync().IsCrashed());
-  EXPECT_TRUE(inj.fired());
 }
 
 }  // namespace

@@ -27,25 +27,6 @@ TEST(MemEnvTest, WriteReadSyncCrash) {
   EXPECT_EQ(std::string(buf, n), "hello");
 }
 
-TEST(MemEnvTest, ObserverInjectsCrash) {
-  MemEnv env;
-  std::unique_ptr<File> f;
-  ASSERT_TRUE(env.NewFile("t", &f).ok());
-  int count = 0;
-  env.set_write_observer([&](const std::string&, const char*, size_t) {
-    return ++count < 3;
-  });
-  EXPECT_TRUE(f->Append("a").ok());
-  EXPECT_TRUE(f->Append("b").ok());
-  EXPECT_TRUE(f->Append("c").IsCrashed());
-  EXPECT_TRUE(env.crashed());
-  // Everything fails until the crash is acknowledged.
-  EXPECT_TRUE(f->Append("d").IsCrashed());
-  env.Crash();
-  env.set_write_observer(nullptr);
-  EXPECT_TRUE(f->Append("e").ok());
-}
-
 TEST(SlottedPageTest, InsertGetRemove) {
   Page page;
   SlottedPage sp(&page);

@@ -5,11 +5,11 @@
 // X requested" and "granted", so the updater's side-file IX lands *behind*
 // the switcher's X and the updater parks in its instant-duration wait still
 // holding IX on the old tree's lock name. The switcher then flips the root
-// and requests X on the old tree — the §7.4 cycle. Under the legacy
-// protocol (enable_step_aside = false) the deadlock detector victimizes the
-// reorganizer on every round until the switch fails; the test pins that, and
-// pins that the failure now rolls *forward* to a consistent new-tree state
-// instead of leaving the tree half-switched. Under the step-aside protocol
+// and requests X on the old tree — the §7.4 cycle. Under the literal
+// protocol (max_step_asides = 0) the deadlock detector victimizes the
+// reorganizer and the switch fails; the test pins that, and pins that the
+// failure rolls *forward* to a consistent new-tree state instead of leaving
+// the tree half-switched. Under the step-aside protocol
 // the same schedule must complete: the switcher releases the side-file X,
 // the parked updater retires through the Busy-redirect path (recording its
 // entry *and* applying it directly to the new tree), and the re-drain
@@ -64,14 +64,13 @@ class SwitchStepAsideTest : public DbFixture,
     old_inc_ = db_->tree()->incarnation();
 
     SwitcherOptions* sw = &db_->reorganizer()->options()->switcher;
-    sw->enable_step_aside = step_aside;
     // Long per-attempt timeout: every failed round in this schedule must
     // come from the deadlock detector, not from timer noise.
     sw->old_tree_timeout_ms = 5000;
     if (step_aside) {
       sw->step_aside_wait_ms = 3000;  // growth signal arrives far sooner
     } else {
-      sw->max_wait_rounds = 3;  // legacy: burn the rounds, fail fast
+      sw->max_step_asides = 0;  // literal §7.4: the first lost round fails
     }
 
     ctrl_ = std::make_unique<ScheduleController>(ScheduleOptions{
@@ -112,7 +111,7 @@ class SwitchStepAsideTest : public DbFixture,
         ++inserted_;
         k += 2;
         // Done when our split retired through the side file (step-aside) or
-        // the switch is over entirely (legacy roll-forward cleared the bit).
+        // the switch is over entirely (a roll-forward cleared the bit).
         if (db_->side_file()->total_recorded() != baseline) break;
         if (!db_->tree()->reorg_bit()) break;
       }
@@ -168,9 +167,10 @@ INSTANTIATE_TEST_SUITE_P(Stripes, SwitchStepAsideTest,
                            return "s" + std::to_string(info.param);
                          });
 
-// The legacy protocol deadlocks on this schedule — every wait round dies to
-// the victim policy, the switch fails TimedOut — and the failure must now
-// roll forward instead of stranding a half-switched tree.
+// The literal protocol deadlocks on this schedule — the wait round dies to
+// the victim policy, and with no step-aside budget the switch fails
+// TimedOut — and the failure must roll forward instead of stranding a
+// half-switched tree.
 TEST_P(SwitchStepAsideTest, LegacyProtocolDeadlocksAndRollsForward) {
   RunSwitchDrainSchedule(/*step_aside=*/false);
 
@@ -178,7 +178,7 @@ TEST_P(SwitchStepAsideTest, LegacyProtocolDeadlocksAndRollsForward) {
   const SwitchStats& sws = db_->reorganizer()->switch_stats();
   EXPECT_TRUE(sws.rolled_forward);
   EXPECT_EQ(sws.step_asides, 0u);
-  EXPECT_EQ(sws.old_tree_wait_rounds, 3u);  // == max_wait_rounds
+  EXPECT_EQ(sws.old_tree_wait_rounds, 1u);  // the budget is spent at once
   EXPECT_GT(sws.old_pages_leaked, 0u);      // counted, not freed
   EXPECT_EQ(sws.old_pages_discarded, 0u);
   // The reorganizer never won the old-tree X.

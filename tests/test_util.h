@@ -9,8 +9,8 @@
 #include <memory>
 
 #include "src/db/database.h"
-#include "src/sim/crash_injector.h"
 #include "src/sim/workload.h"
+#include "src/storage/fault_env.h"
 #include "src/util/coding.h"
 
 namespace soreorg {
@@ -22,8 +22,8 @@ class DbFixture : public ::testing::Test {
   void OpenDb(DatabaseOptions options) {
     db_.reset();
     options_ = options;
-    env_ = std::make_unique<MemEnv>();
-    injector_ = std::make_unique<CrashInjector>(env_.get());
+    base_ = std::make_unique<MemEnv>();
+    env_ = std::make_unique<FaultInjectionEnv>(base_.get());
     ASSERT_TRUE(Database::Open(env_.get(), options_, &db_).ok());
   }
 
@@ -31,19 +31,17 @@ class DbFixture : public ::testing::Test {
   /// the database re-opens and runs recovery.
   Status CrashAndReopen() {
     db_.reset();  // note: the destructor flushes; callers that want a hard
-                  // crash must have armed the injector or call HardCrash().
-    env_->Crash();
-    injector_->Disarm();
+                  // crash must have armed a fault or call HardCrash().
+    env_->Crash();  // also disarms any armed fault
     return Database::Open(env_.get(), options_, &db_);
   }
 
-  /// Hard crash: drop the Database object without any flushing (the
-  /// injector makes all writes fail first so the destructor cannot save
+  /// Hard crash: drop the Database object without any flushing (a sticky
+  /// fault takes the env down first so the destructor cannot save
   /// anything), discard un-synced state, reopen.
   Status HardCrashAndReopen() {
-    injector_->ArmAfterOps(1);  // next write fails -> env enters crashed mode
+    env_->FailOpAfter(1, "", "");  // next write-like op fails; env goes down
     db_.reset();
-    injector_->Disarm();
     env_->Crash();
     return Database::Open(env_.get(), options_, &db_);
   }
@@ -66,8 +64,8 @@ class DbFixture : public ::testing::Test {
   }
 
   DatabaseOptions options_;
-  std::unique_ptr<MemEnv> env_;
-  std::unique_ptr<CrashInjector> injector_;
+  std::unique_ptr<MemEnv> base_;
+  std::unique_ptr<FaultInjectionEnv> env_;
   std::unique_ptr<Database> db_;
 };
 

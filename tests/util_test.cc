@@ -24,7 +24,6 @@ TEST(StatusTest, CodesAndMessages) {
   EXPECT_TRUE(Status::Backoff().IsBackoff());
   EXPECT_TRUE(Status::Deadlock().IsDeadlock());
   EXPECT_TRUE(Status::TimedOut().IsTimedOut());
-  EXPECT_TRUE(Status::Crashed().IsCrashed());
   EXPECT_TRUE(Status::Corruption().IsCorruption());
   EXPECT_TRUE(Status::Busy().IsBusy());
   EXPECT_TRUE(Status::Aborted().IsAborted());
