@@ -70,7 +70,7 @@ GroupCommitResult MeasureGroupCommit(int threads, int commits_per_thread) {
         LogRecord rec;
         rec.type = LogType::kCommit;
         rec.txn_id = static_cast<TxnId>(100 + w);
-        rec.key = "k" + std::to_string(i);
+        rec.key = std::string("k").append(std::to_string(i));
         log.AppendAndFlush(&rec);
       }
     });

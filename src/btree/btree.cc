@@ -73,7 +73,7 @@ Status BTree::Create() {
   rc.type = LogType::kRootChange;
   rc.page_id = root_pid;
   rc.flags = 2;  // height
-  log_->AppendAndFlush(&rc);
+  s = log_->AppendAndFlush(&rc);
 
   bp_->UnpinPage(leaf_pid, true);
   bp_->UnpinPage(root_pid, true);
@@ -81,7 +81,7 @@ Status BTree::Create() {
   root_.store(root_pid);
   height_.store(2);
   incarnation_.store(1);
-  return Status::OK();
+  return s;
 }
 
 void BTree::Attach(PageId root, uint8_t height, uint64_t incarnation) {

@@ -174,7 +174,8 @@ Status Database::BulkLoad(
   rc.type = LogType::kRootChange;
   rc.page_id = root;
   rc.flags = height;
-  log_->AppendAndFlush(&rc);
+  s = log_->AppendAndFlush(&rc);
+  if (!s.ok()) return s;
   // The builder does not WAL-log page contents: a checkpoint makes the
   // loaded tree the recovery baseline.
   return Checkpoint();

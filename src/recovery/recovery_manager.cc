@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
+#include <cstdint>
+#include <numeric>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "src/reorg/reorg_log.h"
@@ -40,9 +40,10 @@ bool IsPageRedoType(LogType t) {
 }
 
 /// Every page a record's redo can read or write. This must stay in lockstep
-/// with BTree::RedoApply / RedoReorgMove / RedoReorgModify: the parallel
-/// partitioning is only sound if no two workers ever touch the same page,
-/// and that guarantee is exactly "components are closed under these sets".
+/// with BTree::RedoApply / RedoReorgMove / RedoReorgModify: replaying
+/// components one after another, or on separate lanes, is only sound if no
+/// two components share a page, and that guarantee is exactly "components
+/// are closed under these sets".
 void TouchPages(const LogRecord& rec, std::vector<PageId>* out) {
   out->clear();
   auto add = [out](PageId p) {
@@ -428,7 +429,7 @@ Status RecoveryManager::Recover(RecoveryResult* result) {
     // Page redo is deferred: the analysis pass completes all allocation
     // replay (above, in log order — the alloc-before-data interlock) and
     // metadata/side-file tracking first, then RunPageRedo below replays
-    // these records, serially or partitioned across workers.
+    // these records, page by page or in log order.
     if (IsPageRedoType(rec.type)) {
       page_redo_indices.push_back(&rec - records.data());
     }
@@ -499,12 +500,7 @@ Status RecoveryManager::Recover(RecoveryResult* result) {
   }
 
   // --- page redo --------------------------------------------------------------
-  int threads = redo_threads_;
-  if (threads <= 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    threads = static_cast<int>(std::min(4u, hw == 0 ? 1u : hw));
-  }
-  s = RunPageRedo(records, page_redo_indices, threads, result);
+  s = RunPageRedo(records, page_redo_indices, redo_threads_, result);
   if (!s.ok()) return s;
 
   // Segment-level forensics.
@@ -563,7 +559,7 @@ Status RecoveryManager::ApplyPageRedo(const LogRecord& rec) {
 Status RecoveryManager::RunPageRedo(const std::vector<LogRecord>& records,
                                     const std::vector<size_t>& indices,
                                     int threads, RecoveryResult* result) {
-  if (threads <= 1 || indices.size() < 2) {
+  if (threads == 1) {
     // Serial oracle: replay in log order, exactly the pre-partitioned path.
     result->redo_threads_used = 1;
     result->redo_pages_per_thread.assign(1, 0);
@@ -582,98 +578,103 @@ Status RecoveryManager::RunPageRedo(const std::vector<LogRecord>& records,
     return Status::OK();
   }
 
-  // Union-find over page ids: two records sharing any page land in the same
-  // component, so no two workers can ever touch the same page. Per-page LSN
-  // gates make replay idempotent; log order within a component (preserved
-  // below) makes it order-correct; disjointness makes it race-free — the
-  // final images are bit-identical to the serial oracle's.
-  std::unordered_map<PageId, PageId> parent;
-  std::function<PageId(PageId)> find = [&](PageId p) {
-    auto it = parent.find(p);
-    if (it == parent.end()) {
-      parent.emplace(p, p);
-      return p;
+  // Page by page: union-find over page ids puts two records that share any
+  // page into one component, and each component is replayed to its end, in
+  // log order, before the next one starts. A page is then fetched about once
+  // per recovery instead of once per pool miss. Per-page LSN gates, the
+  // allocation replay finished above, and the disjointness of components
+  // make the final images bit-identical to the serial oracle's (DESIGN §16).
+  const PageId page_count = disk_->page_count();
+  std::vector<PageId> parent(page_count, kInvalidPageId);  // untouched
+  auto find = [&parent](PageId p) {
+    while (parent[p] != p) {
+      parent[p] = parent[parent[p]];  // path halving
+      p = parent[p];
     }
-    PageId root = p;
-    while (parent[root] != root) root = parent[root];
-    while (parent[p] != root) {
-      PageId next = parent[p];
-      parent[p] = root;
-      p = next;
-    }
-    return root;
+    return p;
   };
+  // first_page[i]: a page of the record indices[i]; its root names the
+  // record's component once every union is done.
+  std::vector<PageId> first_page(indices.size());
   std::vector<PageId> touched;
-  for (size_t idx : indices) {
-    TouchPages(records[idx], &touched);
-    if (touched.empty()) continue;
-    PageId root = find(touched[0]);
-    for (size_t i = 1; i < touched.size(); ++i) {
-      parent[find(touched[i])] = root;
-      root = find(root);
+  for (size_t i = 0; i < indices.size(); ++i) {
+    TouchPages(records[indices[i]], &touched);
+    if (touched.empty()) {
+      return Status::Corruption("page redo record names no page");
     }
-  }
-  // Group record indices by component root; each group stays in log order
-  // because `indices` is ascending.
-  std::unordered_map<PageId, size_t> comp_slot;
-  std::vector<std::vector<size_t>> components;
-  for (size_t idx : indices) {
-    TouchPages(records[idx], &touched);
-    if (touched.empty()) continue;
-    PageId root = find(touched[0]);
-    auto [it, inserted] = comp_slot.emplace(root, components.size());
-    if (inserted) components.emplace_back();
-    components[it->second].push_back(idx);
+    PageId root = kInvalidPageId;
+    for (PageId p : touched) {
+      // Bytes from the log must not index past the page file.
+      if (p >= page_count) {
+        return Status::Corruption("page redo record names a page past the "
+                                  "end of the page file");
+      }
+      if (parent[p] == kInvalidPageId) parent[p] = p;
+      PageId r = find(p);
+      if (root == kInvalidPageId) {
+        root = r;
+      } else if (r != root) {
+        parent[r] = root;
+      }
+    }
+    first_page[i] = touched[0];
   }
 
-  if (components.empty()) {
-    result->redo_threads_used = 1;
-    result->redo_pages_per_thread.assign(1, 0);
-    result->redo_records_per_thread.assign(1, 0);
-    return Status::OK();
+  // Dense component ids in order of each component's first record; then a
+  // stable counting sort of the records by component keeps log order inside
+  // each one: order[comp_start[c] .. comp_start[c + 1]) is component c.
+  std::vector<uint32_t> comp_of(page_count, UINT32_MAX);  // by root page
+  std::vector<uint32_t> rec_comp(indices.size());
+  uint32_t components = 0;
+  for (size_t i = 0; i < indices.size(); ++i) {
+    uint32_t& c = comp_of[find(first_page[i])];
+    if (c == UINT32_MAX) c = components++;
+    rec_comp[i] = c;
   }
-  const int t = static_cast<int>(
-      std::min(static_cast<size_t>(threads), components.size()));
-  result->redo_threads_used = t;
-  result->redo_pages_per_thread.assign(t, 0);
-  result->redo_records_per_thread.assign(t, 0);
+  std::vector<size_t> comp_start(components + 1, 0);
+  for (uint32_t c : rec_comp) ++comp_start[c + 1];
+  std::partial_sum(comp_start.begin(), comp_start.end(), comp_start.begin());
+  std::vector<size_t> order(indices.size());
+  std::vector<size_t> next(comp_start.begin(), comp_start.end() - 1);
+  for (size_t i = 0; i < indices.size(); ++i) {
+    order[next[rec_comp[i]]++] = indices[i];
+  }
+  std::vector<uint64_t> comp_pages(components, 0);
+  for (PageId p = 0; p < page_count; ++p) {
+    if (parent[p] != kInvalidPageId) ++comp_pages[comp_of[find(p)]];
+  }
 
-  // Components are already ordered by first-touch record index; deal them
-  // round-robin so early (usually large) components spread across workers.
-  std::vector<std::vector<size_t>> plan(t);
-  for (size_t c = 0; c < components.size(); ++c) {
-    auto& lane = plan[c % t];
-    lane.insert(lane.end(), components[c].begin(), components[c].end());
-  }
-  std::vector<Status> lane_status(t);
-  std::atomic<uint64_t> redone{0};
-  std::vector<std::thread> workers;
-  workers.reserve(t);
-  for (int w = 0; w < t; ++w) {
-    workers.emplace_back([&, w] {
-      std::vector<size_t>& lane = plan[w];
-      std::sort(lane.begin(), lane.end());  // global log order within worker
-      std::unordered_set<PageId> pages;
-      std::vector<PageId> tp;
-      for (size_t idx : lane) {
-        Status s = ApplyPageRedo(records[idx]);
+  // Lanes take whole components in that order. Lane 0 is the calling
+  // thread, so the default single lane spawns no thread.
+  const int lanes = static_cast<int>(
+      std::clamp<uint32_t>(components, 1, std::max(threads, 1)));
+  result->redo_threads_used = lanes;
+  result->redo_pages_per_thread.assign(lanes, 0);
+  result->redo_records_per_thread.assign(lanes, 0);
+  std::vector<Status> lane_status(lanes);
+  std::atomic<size_t> next_comp{0};
+  auto run_lane = [&](int w) {
+    for (size_t c = next_comp.fetch_add(1); c < components;
+         c = next_comp.fetch_add(1)) {
+      for (size_t k = comp_start[c]; k < comp_start[c + 1]; ++k) {
+        Status s = ApplyPageRedo(records[order[k]]);
         if (!s.ok()) {
           lane_status[w] = s;
           return;
         }
-        redone.fetch_add(1, std::memory_order_relaxed);
-        ++result->redo_records_per_thread[w];
-        TouchPages(records[idx], &tp);
-        for (PageId p : tp) pages.insert(p);
       }
-      result->redo_pages_per_thread[w] = pages.size();
-    });
-  }
+      result->redo_records_per_thread[w] += comp_start[c + 1] - comp_start[c];
+      result->redo_pages_per_thread[w] += comp_pages[c];
+    }
+  };
+  std::vector<std::thread> workers;
+  for (int w = 1; w < lanes; ++w) workers.emplace_back(run_lane, w);
+  run_lane(0);
   for (std::thread& th : workers) th.join();
-  result->records_redone += redone.load(std::memory_order_relaxed);
   for (const Status& s : lane_status) {
     if (!s.ok()) return s;
   }
+  result->records_redone += indices.size();
   return Status::OK();
 }
 
@@ -841,7 +842,8 @@ Status RecoveryManager::UndoIncompleteUnit(BTree* tree,
   end.txn_id = kReorgTxnId;
   end.unit = records.front().unit;
   end.key = result.reorg.largest_finished_key;
-  log_->AppendAndFlush(&end);
+  Status s = log_->AppendAndFlush(&end);
+  if (!s.ok()) return s;
   return RepairSideChain(tree);
 }
 

@@ -74,10 +74,10 @@ struct RecoveryResult {
   bool tail_segment_torn = false;
   uint64_t wal_bytes_scanned = 0;  // redo scan volume, for MB/s reporting
 
-  // Parallel-redo forensics. With redo_threads <= 1 redo runs the serial
-  // oracle; otherwise page-redo records are partitioned into page-disjoint
-  // components and replayed by this many workers (per-thread counters are
-  // distinct pages touched / records replayed).
+  // Redo-lane forensics. With redo_threads = 1 redo runs the serial oracle
+  // on one lane; otherwise page-redo records are grouped into page-disjoint
+  // components, each replayed to its end by one of this many lanes
+  // (per-lane counters are distinct pages touched / records replayed).
   int redo_threads_used = 1;
   std::vector<uint64_t> redo_pages_per_thread;
   std::vector<uint64_t> redo_records_per_thread;
@@ -88,13 +88,14 @@ class RecoveryManager {
   RecoveryManager(DiskManager* disk, BufferPool* bp, LogManager* log,
                   CheckpointMaster* master, SideFile* side_file);
 
-  /// Redo worker count: 1 = serial replay in log order (the verification
-  /// oracle), 0 = auto (min(4, hardware threads)), N>1 = partitioned
-  /// parallel redo. Parallel redo is order-safe because page redo is
-  /// per-page-LSN gated and records are grouped into page-disjoint
-  /// components (each replayed in log order by exactly one worker); the
-  /// alloc-before-data interlock is preserved by running all allocation
-  /// replay serially, in log order, before any page redo starts.
+  /// Redo lanes: 0 = page by page on the recovering thread, 1 = serial
+  /// replay in global log order (the verification oracle), N>1 = N
+  /// page-by-page lanes. Page by page, records are grouped into page-disjoint
+  /// components and each component is replayed to its end, in log order,
+  /// before its lane takes the next one, so a page is fetched about once.
+  /// Any order of components gives the log-order images: page redo is gated
+  /// by each page's LSN, components share no page, and all allocation
+  /// replay finishes, in log order, before any page redo starts.
   void set_redo_threads(int n) { redo_threads_ = n; }
 
   /// Analysis + redo. Call before constructing/attaching the BTree.
@@ -118,8 +119,9 @@ class RecoveryManager {
   /// kReorgMove/kReorgModify via the handlers above).
   Status ApplyPageRedo(const LogRecord& rec);
   /// Replay the page-redo records named by `indices` (into `records`, in
-  /// ascending log order) across `threads` workers on page-disjoint
-  /// components; fills the per-thread forensics in `result`.
+  /// ascending log order): in log order when `threads` is 1, else component
+  /// by component on max(1, threads) lanes. Fills the per-lane forensics in
+  /// `result`.
   Status RunPageRedo(const std::vector<LogRecord>& records,
                      const std::vector<size_t>& indices, int threads,
                      RecoveryResult* result);
@@ -129,7 +131,7 @@ class RecoveryManager {
   LogManager* log_;
   CheckpointMaster* master_;
   SideFile* side_file_;
-  int redo_threads_ = 1;
+  int redo_threads_ = 0;
 };
 
 }  // namespace soreorg

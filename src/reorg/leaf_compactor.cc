@@ -546,9 +546,10 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
     end.unit = unit;
     end.prev_lsn = ctx_->table->recent_lsn();
     end.key = ctx_->table->largest_finished_key();  // LK unchanged
-    ctx_->log->AppendAndFlush(&end);
+    Status flushed = ctx_->log->AppendAndFlush(&end);
     ctx_->table->EndUnit(end.key);
     release_all();
+    if (!flushed.ok()) return flushed;
     return Status::Deadlock("base-page upgrade deadlock");
   }
 
@@ -716,7 +717,7 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
   end.unit = unit;
   end.prev_lsn = ctx_->table->recent_lsn();
   end.key = std::max(unit_high_key, ctx_->table->largest_finished_key());
-  ctx_->log->AppendAndFlush(&end);
+  Status flushed = ctx_->log->AppendAndFlush(&end);
   ctx_->table->EndUnit(end.key);
 
   ++ctx_->stats->units;
@@ -728,7 +729,7 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
   if (resume) ++ctx_->stats->units_resumed;
 
   release_all();
-  return Status::OK();
+  return flushed;
 }
 
 }  // namespace soreorg

@@ -170,8 +170,8 @@ Status SwapPass::Run() {
         // The target may be a page this pass vacated earlier whose
         // deallocation is still gated on a durability barrier: make the
         // pending deallocations durable and retry once.
-        ctx_->bp->FlushAndSync();
-        s = run_unit();
+        s = ctx_->bp->FlushAndSync();
+        if (s.ok()) s = run_unit();
       }
       if (s.IsBusy() || s.IsDeadlock()) continue;
       if (!s.ok()) {
@@ -436,9 +436,10 @@ Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
     end.unit = unit;
     end.prev_lsn = ctx_->table->recent_lsn();
     end.key = ctx_->table->largest_finished_key();
-    ctx_->log->AppendAndFlush(&end);
+    Status flushed = ctx_->log->AppendAndFlush(&end);
     ctx_->table->EndUnit(end.key);
     release_all();
+    if (!flushed.ok()) return flushed;
     return Status::Deadlock("swap base upgrade deadlock");
   }
 
@@ -571,14 +572,14 @@ Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
   end.unit = unit;
   end.prev_lsn = ctx_->table->recent_lsn();
   end.key = ctx_->table->largest_finished_key();
-  ctx_->log->AppendAndFlush(&end);
+  Status flushed = ctx_->log->AppendAndFlush(&end);
   ctx_->table->EndUnit(end.key);
   ++ctx_->stats->units;
   ++ctx_->stats->swap_units;
   if (resume) ++ctx_->stats->units_resumed;
 
   release_all();
-  return Status::OK();
+  return flushed;
 }
 
 }  // namespace soreorg

@@ -229,8 +229,9 @@ Status Switcher::Switch(TreeBuilder* builder, SwitchStats* stats) {
   }
 
   // 5. Discard the old upper levels and reclaim the space. A failure here
-  // is surfaced in the stats but does not fail the switch — both trees are
-  // intact, only the old internal pages leak.
+  // (collecting the pages or flushing their DEALLOC records) is surfaced in
+  // the stats but does not fail the switch — both trees are intact, only
+  // the old internal pages leak.
   std::vector<PageId> old_internals;
   s = tree->CollectInternalPages(old_root, &old_internals);
   if (s.ok()) {
@@ -244,8 +245,9 @@ Status Switcher::Switch(TreeBuilder* builder, SwitchStats* stats) {
       ctx_->bp->DeletePage(p);
       ++stats->old_pages_discarded;
     }
-    ctx_->log->Flush();
-  } else {
+    s = ctx_->log->Flush();
+  }
+  if (!s.ok()) {
     stats->reclaim_failed = true;
     stats->reclaim_error = s.ToString();
   }

@@ -33,8 +33,9 @@
 //      duplicate-tolerant BaseApply; see TreeBuilder::ApplyEntry).
 //   5. Discard the old tree's upper levels (all its internal pages; leaves
 //      are shared with the new tree) and reclaim their space. A failure to
-//      collect them is surfaced in SwitchStats (reclaim_failed) — the switch
-//      itself still succeeds; the pages leak but the trees are intact.
+//      collect them or to flush their DEALLOC records is surfaced in
+//      SwitchStats (reclaim_failed) — the switch itself still succeeds; the
+//      pages leak but the trees are intact.
 //   6. Close the side file, clear the reorganization bit, drop the hooks,
 //      release all locks.
 //
@@ -118,8 +119,9 @@ struct SwitchStats {
   /// old-tree transactions may still navigate them, so they cannot be freed).
   uint64_t old_pages_leaked = 0;
 
-  /// Step 5 could not enumerate the old upper levels; the switch still
-  /// succeeded but the old internal pages were not reclaimed.
+  /// Step 5 could not enumerate the old upper levels or flush their
+  /// DEALLOC records; the switch still succeeded but the old internal pages
+  /// were not reclaimed.
   bool reclaim_failed = false;
   std::string reclaim_error;
 };

@@ -57,8 +57,8 @@ Status TransactionManager::Abort(Transaction* txn) {
     Status s = log_->ReadAt(cur, &rec);
     if (!s.ok()) {
       // The record may still be in the WAL buffer: flush and retry once.
-      log_->Flush();
-      s = log_->ReadAt(cur, &rec);
+      s = log_->Flush();
+      if (s.ok()) s = log_->ReadAt(cur, &rec);
       if (!s.ok()) {
         Discard(txn, TxnState::kAborted);
         return s;

@@ -13,7 +13,8 @@ class ConcurrencyTest : public DbFixture {};
 
 TEST_F(ConcurrencyTest, ParallelReadersSeeConsistentData) {
   for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(Put(static_cast<uint64_t>(i), "v" + std::to_string(i)).ok());
+    std::string v = std::string("v").append(std::to_string(i));
+    ASSERT_TRUE(Put(static_cast<uint64_t>(i), v).ok());
   }
   std::atomic<int> errors{0};
   std::vector<std::thread> readers;
@@ -24,7 +25,7 @@ TEST_F(ConcurrencyTest, ParallelReadersSeeConsistentData) {
         uint64_t k = rng.Uniform(1000);
         std::string v;
         if (!db_->Get(EncodeU64Key(k), &v).ok() ||
-            v != "v" + std::to_string(k)) {
+            v != std::string("v").append(std::to_string(k))) {
           ++errors;
         }
       }

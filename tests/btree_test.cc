@@ -123,7 +123,7 @@ TEST_F(BTreeTest, RandomOrderInsertsMatchModel) {
   std::map<uint64_t, std::string> model;
   while (model.size() < 1500) {
     uint64_t k = rng.Uniform(1000000);
-    std::string v = "v" + std::to_string(k);
+    std::string v = std::string("v").append(std::to_string(k));
     if (model.emplace(k, v).second) {
       ASSERT_TRUE(Put(k, v).ok());
     }

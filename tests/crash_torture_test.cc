@@ -136,7 +136,7 @@ TEST(CrashTortureTest, CleanCrashAcrossSegmentRotationAndTruncation) {
   // and a checkpoint inside the swept window drives truncation — so the
   // sweep crashes at every I/O point of the seal / create-or-recycle /
   // dirsync / park-rename / delete protocol, not just at record writes.
-  // Recovery (with parallel redo) must produce the model at every point.
+  // Recovery (on 4 redo lanes) must produce the model at every point.
   TortureOptions opt = SmallWorkload(TortureMode::kCleanCrash);
   opt.stride = 3;
   opt.checkpoint_churn_txns = 24;

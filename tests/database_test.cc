@@ -36,13 +36,14 @@ TEST_F(DbFixture, ExplicitTransactionAbortRollsBack) {
 
 TEST_F(DbFixture, CommittedDataSurvivesCrash) {
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(Put(static_cast<uint64_t>(i), "v" + std::to_string(i)).ok());
+    std::string v = std::string("v").append(std::to_string(i));
+    ASSERT_TRUE(Put(static_cast<uint64_t>(i), v).ok());
   }
   ASSERT_TRUE(HardCrashAndReopen().ok());
   for (int i = 0; i < 200; ++i) {
     std::string v;
     ASSERT_TRUE(Get(static_cast<uint64_t>(i), &v).ok()) << i;
-    EXPECT_EQ(v, "v" + std::to_string(i));
+    EXPECT_EQ(v, std::string("v").append(std::to_string(i)));
   }
   EXPECT_TRUE(db_->tree()->CheckConsistency().ok());
 }

@@ -150,6 +150,26 @@ TEST_F(ForwardRecoveryTest, CrashDuringSwapPassRecovers) {
   EXPECT_EQ(CountRecords(), survivors_.size());
 }
 
+// A pass whose unit cannot make its END durable must say so: the WAL sync
+// fault is the pass's result, not a success over a downed log.
+TEST_F(ForwardRecoveryTest, WalSyncFailureInsideLeafPassIsReturned) {
+  SparsifyAndCheckpoint();
+  env_->FailOpAfter(1, "soreorg.wal", "sync");
+  Status s = db_->reorganizer()->RunLeafPass();
+  ASSERT_TRUE(env_->fault_fired());
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+}
+
+TEST_F(ForwardRecoveryTest, WalSyncFailureInsideSwapPassIsReturned) {
+  SparsifyAndCheckpoint(2500);
+  ASSERT_TRUE(db_->reorganizer()->RunLeafPass().ok());
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  env_->FailOpAfter(1, "soreorg.wal", "sync");
+  Status s = db_->reorganizer()->RunSwapPass();
+  ASSERT_TRUE(env_->fault_fired());
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+}
+
 TEST_F(ForwardRecoveryTest, CrashDuringPass3RestartsFromStableKey) {
   DatabaseOptions opts;
   opts.reorg.builder.stable_every = 1;

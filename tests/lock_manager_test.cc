@@ -102,7 +102,8 @@ class StripedLockManagerTest : public ::testing::TestWithParam<size_t> {};
 INSTANTIATE_TEST_SUITE_P(Stripes, StripedLockManagerTest,
                          ::testing::Values(1, 2, 16),
                          [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "s" + std::to_string(info.param);
+                           return std::string("s").append(
+                               std::to_string(info.param));
                          });
 
 TEST_P(StripedLockManagerTest, SharedThenExclusiveBlocks) {

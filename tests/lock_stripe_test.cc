@@ -34,7 +34,8 @@ class LockStripeTest : public ::testing::TestWithParam<size_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Stripes, LockStripeTest, ::testing::Values(1, 2, 16),
                          [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "s" + std::to_string(info.param);
+                           return std::string("s").append(
+                               std::to_string(info.param));
                          });
 
 // The seed manager never erased an empty queue, so every name ever locked

@@ -118,7 +118,8 @@ TEST(PackCellsTest, RoundTrip) {
   LeafNode::Format(&page, 1);
   LeafNode ln(&page);
   for (uint64_t k : {1ull, 2ull, 3ull, 4ull}) {
-    ASSERT_TRUE(ln.Insert(EncodeU64Key(k), "v" + std::to_string(k)).ok());
+    std::string v = std::string("v").append(std::to_string(k));
+    ASSERT_TRUE(ln.Insert(EncodeU64Key(k), v).ok());
   }
   SlottedPage sp(&page);
   std::string bundle = PackCellRange(sp, 1, 3);

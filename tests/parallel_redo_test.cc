@@ -1,9 +1,10 @@
-// Partitioned parallel redo (ISSUE 10): replaying the same crashed image
-// with 1 and with 4 redo threads must produce bit-identical page files (the
-// serial replay is the verification oracle); checkpoint-driven truncation
-// floors bound the redo scan to the segments written since the floor; and
-// the RecoveryResult forensics (threads used, per-thread work, segment
-// counts, torn tail) are populated and consistent.
+// Page redo by component: replaying the same crashed image in log order
+// (redo_threads = 1, the verification oracle), page by page on the
+// recovering thread (the default) and on 4 lanes must produce bit-identical
+// page files; page by page, a page redo touches is read at most once;
+// checkpoint-driven truncation floors bound the redo scan to the segments
+// written since the floor; and the RecoveryResult forensics (lanes used,
+// per-lane work, segment counts, torn tail) are populated and consistent.
 
 #include <gtest/gtest.h>
 
@@ -80,6 +81,71 @@ std::string FileBytes(Env* env, const std::string& name) {
   return buf;
 }
 
+// Copies every file of a crashed env into `to` and syncs it, so several
+// recoveries start from the same durable bytes.
+void CopyFiles(Env* from, Env* to) {
+  std::vector<std::string> names;
+  ASSERT_TRUE(from->ListFiles("", &names).ok());
+  ASSERT_FALSE(names.empty());
+  for (const std::string& name : names) {
+    std::unique_ptr<File> f;
+    ASSERT_TRUE(to->NewFile(name, &f).ok());
+    ASSERT_TRUE(f->Append(FileBytes(from, name)).ok());
+    ASSERT_TRUE(f->Sync().ok());
+  }
+}
+
+// Takes the env down so the destructor saves nothing, then drops every
+// un-synced write.
+void HardCrash(FaultInjectionEnv* env, std::unique_ptr<Database>* db) {
+  env->FailOpAfter(1, "", "");
+  db->reset();
+  env->Crash();
+}
+
+constexpr size_t kRecoveryPool = 16;  // frames; one shard, exact LRU
+
+// A crash image whose redo spans many times the recovery pool: inserts in
+// scattered order (leaf and internal splits) on both sides of a checkpoint,
+// scattered deletes (free-at-empty) and updates, a completed pass 1 (moves,
+// base-page modifies, page frees) and more updates, then a hard crash.
+void BuildLargeCrashedImage(FaultInjectionEnv* env) {
+  DatabaseOptions opts;
+  opts.buffer_pool_pages = 64;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(env, opts, &db).ok());
+  constexpr int kKeys = 4000;
+  auto key = [](int i) { return KeyOf((i * 7919) % kKeys); };
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(db->Put(key(i), std::string(100, 'v')).ok());
+    if (i == kKeys / 4) {
+      ASSERT_TRUE(db->Checkpoint().ok());
+    }
+  }
+  for (int i = 0; i < kKeys; i += 5) {
+    for (int j = i; j < i + 3; ++j) ASSERT_TRUE(db->Delete(key(j)).ok());
+    ASSERT_TRUE(db->Update(key(i + 3), std::string(100, 'a' + i % 26)).ok());
+  }
+  ASSERT_TRUE(db->reorganizer()->RunLeafPass().ok());
+  for (int i = 4; i < kKeys; i += 10) {
+    ASSERT_TRUE(db->Update(key(i), std::string(100, 'z')).ok());
+  }
+  HardCrash(env, &db);
+}
+
+using Rows = std::vector<std::pair<std::string, std::string>>;
+
+Rows ScanAll(Database* db) {
+  Rows rows;
+  EXPECT_TRUE(db->Scan(Slice(), Slice(),
+                       [&rows](const Slice& k, const Slice& v) {
+                         rows.emplace_back(k.ToString(), v.ToString());
+                         return true;
+                       })
+                  .ok());
+  return rows;
+}
+
 TEST(ParallelRedoTest, ParallelRedoIsBitIdenticalToSerialOracle) {
   constexpr int kCrashAt = 400;
   MemEnv base1, base4;
@@ -122,7 +188,7 @@ TEST(ParallelRedoTest, ParallelRedoIsBitIdenticalToSerialOracle) {
   ASSERT_TRUE(db4->tree()->CheckConsistency().ok());
 
   // ...then the hard claim: after a full flush the page files are
-  // bit-identical — parallel redo left no page in a different state than
+  // bit-identical — 4 redo lanes left no page in a different state than
   // the serial oracle.
   ASSERT_TRUE(db1->buffer_pool()->FlushAndSync().ok());
   ASSERT_TRUE(db4->buffer_pool()->FlushAndSync().ok());
@@ -132,6 +198,98 @@ TEST(ParallelRedoTest, ParallelRedoIsBitIdenticalToSerialOracle) {
   const std::string pages4 = FileBytes(&env4, "soreorg.pages");
   ASSERT_FALSE(pages1.empty());
   EXPECT_EQ(pages1, pages4);
+}
+
+TEST(ParallelRedoTest, PageByPageMatchesLogOrderBeyondThePool) {
+  MemEnv crashed_base;
+  FaultInjectionEnv crashed(&crashed_base);
+  BuildLargeCrashedImage(&crashed);
+  if (HasFatalFailure()) return;
+
+  const int kModes[] = {1, DatabaseOptions().redo_threads, 4};
+  std::string oracle_pages;
+  Rows oracle_rows;
+  for (int threads : kModes) {
+    SCOPED_TRACE(testing::Message() << "redo_threads = " << threads);
+    MemEnv env;
+    CopyFiles(&crashed, &env);
+    DatabaseOptions opts;
+    opts.buffer_pool_pages = kRecoveryPool;
+    opts.redo_threads = threads;
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(&env, opts, &db).ok());
+    const RecoveryResult& rr = db->recovery_result();
+    uint64_t pages = 0;
+    for (uint64_t n : rr.redo_pages_per_thread) pages += n;
+    EXPECT_GE(pages, 4 * kRecoveryPool)
+        << "redo must touch at least 4x as many pages as the pool holds";
+    ASSERT_TRUE(db->tree()->CheckConsistency().ok());
+    Rows rows = ScanAll(db.get());
+    ASSERT_TRUE(db->buffer_pool()->FlushAndSync().ok());
+    db.reset();
+    std::string page_file = FileBytes(&env, "soreorg.pages");
+    ASSERT_FALSE(page_file.empty());
+    if (threads == 1) {
+      oracle_rows = std::move(rows);
+      oracle_pages = std::move(page_file);
+      continue;
+    }
+    EXPECT_EQ(rows, oracle_rows);
+    EXPECT_TRUE(page_file == oracle_pages)
+        << "page file differs from the log-order oracle's";
+  }
+}
+
+// Committed single-page updates scattered over every leaf, no loser and no
+// open unit: page by page each page redo touches is read once, while log
+// order re-reads a leaf on almost every record once the pool is full.
+TEST(ParallelRedoTest, PageByPageReadsEachRedoPageOnce) {
+  MemEnv crashed_base;
+  FaultInjectionEnv crashed(&crashed_base);
+  {
+    DatabaseOptions opts;
+    opts.buffer_pool_pages = kRecoveryPool;
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(&crashed, opts, &db).ok());
+    constexpr int kKeys = 3000;
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(db->Put(KeyOf(i), std::string(100, 'v')).ok());
+    }
+    ASSERT_TRUE(db->Checkpoint().ok());
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_TRUE(db->Update(KeyOf((i * 7919) % kKeys),
+                             std::string(100, 'a' + i % 26))
+                      .ok());
+    }
+    HardCrash(&crashed, &db);
+  }
+
+  uint64_t reads[2] = {0, 0};
+  const int kModes[2] = {DatabaseOptions().redo_threads, 1};
+  for (int m = 0; m < 2; ++m) {
+    SCOPED_TRACE(testing::Message() << "redo_threads = " << kModes[m]);
+    MemEnv env;
+    CopyFiles(&crashed, &env);
+    DatabaseOptions opts;
+    opts.buffer_pool_pages = kRecoveryPool;
+    opts.redo_threads = kModes[m];
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(&env, opts, &db).ok());
+    const RecoveryResult& rr = db->recovery_result();
+    ASSERT_TRUE(rr.losers.empty());
+    ASSERT_TRUE(rr.incomplete_unit_records.empty());
+    EXPECT_EQ(rr.records_redone, 2000u);
+    uint64_t pages = 0;
+    for (uint64_t n : rr.redo_pages_per_thread) pages += n;
+    EXPECT_GE(pages, 4 * kRecoveryPool);
+    reads[m] = db->disk_manager()->pages_read();
+    if (m == 0) {
+      EXPECT_LE(reads[m], pages)
+          << "page-by-page redo read a page more than once";
+    }
+  }
+  EXPECT_GE(reads[1], 3 * reads[0])
+      << "log order read " << reads[1] << " pages, page by page " << reads[0];
 }
 
 TEST(ParallelRedoTest, CheckpointFloorBoundsSegmentsScanned) {

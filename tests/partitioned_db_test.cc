@@ -26,7 +26,9 @@ PartitionedDBOptions SmallOptions(size_t partitions) {
   return o;
 }
 
-std::string Val(uint64_t i) { return "v" + std::to_string(i * 7); }
+std::string Val(uint64_t i) {
+  return std::string("v").append(std::to_string(i * 7));
+}
 
 class PartitionedDbTest : public ::testing::TestWithParam<size_t> {};
 

@@ -57,9 +57,8 @@ TEST_F(PosixEnvTest, DatabaseSurvivesCloseAndReopen) {
     std::unique_ptr<Database> db;
     ASSERT_TRUE(Database::Open(&env_, options, &db).ok());
     for (int i = 0; i < 500; ++i) {
-      ASSERT_TRUE(
-          db->Put(EncodeU64Key(static_cast<uint64_t>(i)), "v" + std::to_string(i))
-              .ok());
+      std::string v = std::string("v").append(std::to_string(i));
+      ASSERT_TRUE(db->Put(EncodeU64Key(static_cast<uint64_t>(i)), v).ok());
     }
     ASSERT_TRUE(db->Checkpoint().ok());
   }
@@ -70,7 +69,7 @@ TEST_F(PosixEnvTest, DatabaseSurvivesCloseAndReopen) {
       std::string v;
       ASSERT_TRUE(db->Get(EncodeU64Key(static_cast<uint64_t>(i)), &v).ok())
           << i;
-      EXPECT_EQ(v, "v" + std::to_string(i));
+      EXPECT_EQ(v, std::string("v").append(std::to_string(i)));
     }
     EXPECT_TRUE(db->tree()->CheckConsistency().ok());
   }

@@ -137,7 +137,8 @@ TEST_P(ModelSweep, RandomOpsMatchModelWithPeriodicReorg) {
     uint64_t k = rng.Uniform(5000);
     int op = static_cast<int>(rng.Uniform(10));
     if (op < 5) {  // insert
-      std::string v = "v" + std::to_string(k) + "-" + std::to_string(step);
+      std::string v = std::string("v").append(std::to_string(k));
+      v.append("-").append(std::to_string(step));
       Status s = db->Put(EncodeU64Key(k), v);
       if (model.count(k)) {
         EXPECT_TRUE(s.IsInvalidArgument());

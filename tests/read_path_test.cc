@@ -54,7 +54,7 @@ struct Fixture {
     Random rng(99);
     for (uint64_t i = 0; i < n; ++i) {
       std::string key = EncodeU64Key(i * 10);
-      std::string value = "v" + std::to_string(rng.Next());
+      std::string value = std::string("v").append(std::to_string(rng.Next()));
       EXPECT_TRUE(db->Put(key, value).ok());
       shadow[key] = value;
     }

@@ -3,6 +3,8 @@
 // cancellation, and reorganization under adversarial interleavings.
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "tests/test_util.h"
@@ -115,11 +117,24 @@ TEST_F(ReorgRegressionTest, RepeatedFullReorganizationsUnderChurn) {
   ASSERT_TRUE(SparsifyByDeletion(db_.get(), 3000, 64, 0.95, 0.6, 10, 17,
                                  &survivors)
                   .ok());
-  std::atomic<bool> stop{false};
+  // CheckConsistency reads leaf slots without latches, so the churn parks
+  // between two ops while the main thread checks: a handshake on `mu`.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool stop = false, pause = false, parked = false;  // guarded by mu
   std::atomic<int> unexpected{0};
   std::thread churn([&]() {
     Random rng(23);
-    while (!stop.load()) {
+    std::unique_lock<std::mutex> lk(mu);
+    while (!stop) {
+      if (pause) {
+        parked = true;
+        cv.notify_all();
+        cv.wait(lk, [&] { return !pause || stop; });
+        parked = false;
+        continue;
+      }
+      lk.unlock();
       uint64_t slot = rng.Uniform(3000);
       if (rng.Bernoulli(0.5)) {
         Status s = db_->Put(EncodeU64Key(slot * 10 + 1 + rng.Uniform(8)),
@@ -129,15 +144,32 @@ TEST_F(ReorgRegressionTest, RepeatedFullReorganizationsUnderChurn) {
         Status s = db_->Delete(EncodeU64Key(slot * 10));
         if (!s.ok() && !s.IsNotFound()) ++unexpected;
       }
+      lk.lock();
     }
   });
-  for (int round = 0; round < 3; ++round) {
-    Status rs = db_->Reorganize();
-    ASSERT_TRUE(rs.ok()) << "round " << round << " status=" << rs.ToString();
-    ASSERT_TRUE(db_->tree()->CheckConsistency().ok()) << "round " << round;
+  auto check_paused = [&]() {
+    std::unique_lock<std::mutex> lk(mu);
+    pause = true;
+    cv.wait(lk, [&] { return parked; });
+    Status s = db_->tree()->CheckConsistency();
+    pause = false;
+    cv.notify_all();
+    return s;
+  };
+  Status s;
+  int round = 0;
+  for (; round < 3; ++round) {
+    s = db_->Reorganize();
+    if (s.ok()) s = check_paused();
+    if (!s.ok()) break;
   }
-  stop.store(true);
-  churn.join();
+  {
+    std::lock_guard<std::mutex> g(mu);
+    stop = true;
+  }
+  cv.notify_all();
+  churn.join();  // before any ASSERT can return
+  ASSERT_TRUE(s.ok()) << "round " << round << ": " << s.ToString();
   EXPECT_EQ(unexpected.load(), 0);
   EXPECT_TRUE(db_->tree()->CheckConsistency().ok());
 }

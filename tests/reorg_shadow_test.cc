@@ -165,7 +165,8 @@ class Client {
 
   void Write(const std::string& key, char kind) {
     bool present = shadow_->count(key) > 0;
-    std::string value = std::string(1, kind) + std::to_string(rng_.Next());
+    std::string value(1, kind);
+    value.append(std::to_string(rng_.Next()));
     Status s = kind == 'u'   ? db_->Update(key, value)
                : kind == 'i' ? db_->Put(key, value)
                              : db_->Delete(key);
@@ -208,7 +209,9 @@ class Client {
     size_t i = 0;
     while (i < got.size() && i < want.size() && got[i] == want[i]) ++i;
     std::string trail;
-    for (PageId p : it.leaf_trail()) trail += " " + std::to_string(p);
+    for (PageId p : it.leaf_trail()) {
+      trail.append(" ").append(std::to_string(p));
+    }
     ADD_FAILURE() << "wrong Scan from " << DecodeU64Key(lo) << ": position "
                   << i << " got "
                   << (i < got.size() ? std::to_string(DecodeU64Key(got[i].first))

@@ -63,7 +63,7 @@ TEST(ScheduleTest, SeededScheduleIsReproducible) {
                                             .settle_us = 2000});
     ctrl.InstallLockHooks(&lm);
     for (int i = 0; i < 3; ++i) {
-      std::string name = "w" + std::to_string(i);
+      std::string name = std::string("w").append(std::to_string(i));
       TxnId id = 100 + static_cast<TxnId>(i);
       ctrl.Spawn(name, [&ctrl, &lm, id, i] {
         ctrl.Point("begin");
@@ -174,7 +174,8 @@ class StripedScheduleTest : public ::testing::TestWithParam<size_t> {};
 INSTANTIATE_TEST_SUITE_P(Stripes, StripedScheduleTest,
                          ::testing::Values(1, 2, 16),
                          [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "s" + std::to_string(info.param);
+                           return std::string("s").append(
+                               std::to_string(info.param));
                          });
 
 TEST_P(StripedScheduleTest, ScriptedRxBackoffThenRsWaitReplay) {

@@ -164,7 +164,8 @@ class SwitchStepAsideTest : public DbFixture,
 INSTANTIATE_TEST_SUITE_P(Stripes, SwitchStepAsideTest,
                          ::testing::Values(1, 16),
                          [](const ::testing::TestParamInfo<size_t>& info) {
-                           return "s" + std::to_string(info.param);
+                           return std::string("s").append(
+                               std::to_string(info.param));
                          });
 
 // The literal protocol deadlocks on this schedule — the wait round dies to

@@ -109,7 +109,7 @@ TEST_F(TxnTest, AbortWalksPrevLsnChainThroughApplier) {
     rec.type = LogType::kInsert;
     rec.txn_id = txn->id();
     rec.prev_lsn = txn->last_lsn();
-    rec.key = "k" + std::to_string(i);
+    rec.key = std::string("k").append(std::to_string(i));
     log_->Append(&rec);
     txn->set_last_lsn(rec.lsn);
   }

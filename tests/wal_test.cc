@@ -24,6 +24,16 @@ LogRecord MakeInsert(TxnId txn, PageId page, const std::string& key,
   return rec;
 }
 
+// "k<i>". Built with append: GCC 12 at -O3 reports a false -Wrestrict
+// overlap for `"k" + std::to_string(i)`.
+std::string KeyN(int i) { return std::string("k").append(std::to_string(i)); }
+
+// "t<t>-<i>", one key per writer thread and record.
+std::string ThreadKey(int t, int i) {
+  std::string key = std::string("t").append(std::to_string(t));
+  return key.append("-").append(std::to_string(i));
+}
+
 TEST(LogRecordTest, RoundTripAllFields) {
   LogRecord rec;
   rec.type = LogType::kReorgModify;
@@ -93,7 +103,7 @@ TEST(LogManagerTest, ReadAllAndReadAt) {
   ASSERT_TRUE(log.Open().ok());
   std::vector<Lsn> lsns;
   for (int i = 0; i < 20; ++i) {
-    LogRecord rec = MakeInsert(2, 1, "k" + std::to_string(i), "v");
+    LogRecord rec = MakeInsert(2, 1, KeyN(i), "v");
     log.Append(&rec);
     lsns.push_back(rec.lsn);
   }
@@ -103,7 +113,7 @@ TEST(LogManagerTest, ReadAllAndReadAt) {
   ASSERT_TRUE(log.ReadAll(&all).ok());
   ASSERT_EQ(all.size(), 20u);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(all[i].key, "k" + std::to_string(i));
+    EXPECT_EQ(all[i].key, KeyN(i));
     EXPECT_EQ(all[i].lsn, lsns[i]);
   }
 
@@ -199,7 +209,7 @@ TEST(LogManagerTest, GroupFlushOfBufferedRecordsCostsOneSync) {
   constexpr int kN = 8;
   std::vector<Lsn> lsns;
   for (int i = 0; i < kN; ++i) {
-    LogRecord rec = MakeInsert(1, 1, "k" + std::to_string(i), "v");
+    LogRecord rec = MakeInsert(1, 1, KeyN(i), "v");
     log.Append(&rec);
     lsns.push_back(rec.lsn);
   }
@@ -240,10 +250,7 @@ TEST(LogManagerTest, ConcurrentAppendAndFlushRecoversEveryRecordOnce) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&log, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        LogRecord rec = MakeInsert(100 + t, 1,
-                                   "t" + std::to_string(t) + "-" +
-                                       std::to_string(i),
-                                   "v");
+        LogRecord rec = MakeInsert(100 + t, 1, ThreadKey(t, i), "v");
         ASSERT_TRUE(log.AppendAndFlush(&rec).ok());
         ASSERT_LT(rec.lsn, log.FlushedLsn());  // durable on return
       }
@@ -271,10 +278,7 @@ TEST(LogManagerTest, ConcurrentAppendAndFlushRecoversEveryRecordOnce) {
   const uint64_t ref_base_syncs = ref_env.sync_count();  // Open's header sync
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < kPerThread; ++i) {
-      LogRecord rec = MakeInsert(100 + t, 1,
-                                 "t" + std::to_string(t) + "-" +
-                                     std::to_string(i),
-                                 "v");
+      LogRecord rec = MakeInsert(100 + t, 1, ThreadKey(t, i), "v");
       ASSERT_TRUE(ref.AppendAndFlush(&rec).ok());
     }
   }
@@ -391,10 +395,7 @@ TEST(LogManagerTest, ConcurrentCommitSurvivesOneSyncFailure) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&log, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        LogRecord rec = MakeInsert(100 + t, 1,
-                                   "t" + std::to_string(t) + "-" +
-                                       std::to_string(i),
-                                   "v");
+        LogRecord rec = MakeInsert(100 + t, 1, ThreadKey(t, i), "v");
         Status s = log.AppendAndFlush(&rec);
         if (!s.ok()) {
           // This thread led the batch the injected fault killed. The record
