@@ -199,7 +199,15 @@ Status RecoveryManager::RedoReorgMove(const LogRecord& rec) {
       for (const std::string& k : keys) {
         bool exact;
         int pos = sl.LowerBound(k, &exact);
-        if (!exact) continue;  // careful-writing invariant violated?
+        if (!exact && src_stale) {
+          // Both images predate the move, so the source must still hold
+          // every moved record: careful writing is broken or the log lies.
+          bp_->UnpinPage(org, false);
+          bp_->UnpinPage(dest, false);
+          return Status::Corruption(
+              "keys-only move redo: a stale source lacks a moved key");
+        }
+        if (!exact) continue;
         bool dexact;
         dl.LowerBound(k, &dexact);
         if (!dexact) dl.Insert(k, sl.ValueAt(pos));
@@ -336,7 +344,6 @@ Status RecoveryManager::Recover(RecoveryResult* result) {
   if (have_ckpt) {
     s = disk_->RestoreMeta(image.disk_meta);
     if (!s.ok()) return s;
-    for (const auto& [txn, lsn] : txn_table) (void)txn, (void)lsn;
     for (const auto& [txn, lsn] : image.active_txns) txn_table[txn] = lsn;
     result->tree_root = image.tree_root;
     result->tree_height = image.tree_height;
@@ -355,9 +362,12 @@ Status RecoveryManager::Recover(RecoveryResult* result) {
 
   // --- redo -------------------------------------------------------------------
   const uint64_t checksum_failures_before = disk_->checksum_failures();
-  std::vector<LogRecord> records;
+  // The scan keeps the log bytes from the redo floor on plus one LSN per
+  // frame; analysis parses each record once more as it walks, and page
+  // redo parses the ones it replays when it needs them.
+  LogFrames frames;
   LogReadStats log_stats;
-  s = log_->ReadAll(&records, start_lsn, &log_stats);
+  s = log_->Scan(start_lsn, &frames, &log_stats);
   if (!s.ok()) return s;
   // The usual torn tail was already truncated by LogManager::Open, so fold
   // its account in with whatever this scan still sees.
@@ -382,7 +392,25 @@ Status RecoveryManager::Recover(RecoveryResult* result) {
   std::string stable_key = result->reorg.stable_key;
   PageId partial_top = result->reorg.new_tree_root;
 
-  for (const LogRecord& rec : records) {
+  // Replayed allocations may extend the page file, a few pages per record
+  // at most: a page id further past the end than the scan has frames is
+  // log garbage, and replaying it would free every id in between.
+  auto replay_alloc = [&](PageId p) -> Status {
+    const PageId end = disk_->page_count();
+    if (p >= end && p - end >= frames.size()) {
+      return Status::Corruption(
+          "replayed allocation of page " + std::to_string(p) +
+          " lies far past the end of the page file (" + std::to_string(end) +
+          " pages)");
+    }
+    disk_->AllocatePageAt(p);
+    return Status::OK();
+  };
+
+  LogRecord rec;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    s = frames.Parse(i, &rec);
+    if (!s.ok()) return s;
     ++result->records_scanned;
     if (have_ckpt && rec.lsn == ckpt_lsn) continue;  // the checkpoint itself
 
@@ -401,22 +429,22 @@ Status RecoveryManager::Recover(RecoveryResult* result) {
     // Allocation state.
     switch (rec.type) {
       case LogType::kAllocPage:
-        disk_->AllocatePageAt(rec.page_id);
+        s = replay_alloc(rec.page_id);
         if (rec.flags == 1) pass3_allocs_since_stable.push_back(rec.page_id);
         break;
       case LogType::kDeallocPage:
         disk_->DeallocatePage(rec.page_id);
         break;
       case LogType::kFormatPage:
-        disk_->AllocatePageAt(rec.page_id);
+        s = replay_alloc(rec.page_id);
         break;
       case LogType::kLeafSplit:
-        disk_->AllocatePageAt(rec.page_id2);
+        s = replay_alloc(rec.page_id2);
         break;
       case LogType::kInternalSplit:
-        disk_->AllocatePageAt(rec.page_id2);
-        if (rec.page_id3 == kInvalidPageId) {
-          disk_->AllocatePageAt(DecodePid(rec.value2));
+        s = replay_alloc(rec.page_id2);
+        if (s.ok() && rec.page_id3 == kInvalidPageId) {
+          s = replay_alloc(DecodePid(rec.value2));
         }
         break;
       case LogType::kNodeFree:
@@ -425,14 +453,13 @@ Status RecoveryManager::Recover(RecoveryResult* result) {
       default:
         break;
     }
+    if (!s.ok()) return s;
 
     // Page redo is deferred: the analysis pass completes all allocation
     // replay (above, in log order — the alloc-before-data interlock) and
     // metadata/side-file tracking first, then RunPageRedo below replays
     // these records, page by page or in log order.
-    if (IsPageRedoType(rec.type)) {
-      page_redo_indices.push_back(&rec - records.data());
-    }
+    if (IsPageRedoType(rec.type)) page_redo_indices.push_back(i);
 
     // Metadata + reorganization-table tracking.
     switch (rec.type) {
@@ -500,7 +527,7 @@ Status RecoveryManager::Recover(RecoveryResult* result) {
   }
 
   // --- page redo --------------------------------------------------------------
-  s = RunPageRedo(records, page_redo_indices, redo_threads_, result);
+  s = RunPageRedo(frames, page_redo_indices, redo_threads_, result);
   if (!s.ok()) return s;
 
   // Segment-level forensics.
@@ -556,9 +583,10 @@ Status RecoveryManager::ApplyPageRedo(const LogRecord& rec) {
   }
 }
 
-Status RecoveryManager::RunPageRedo(const std::vector<LogRecord>& records,
+Status RecoveryManager::RunPageRedo(const LogFrames& frames,
                                     const std::vector<size_t>& indices,
                                     int threads, RecoveryResult* result) {
+  LogRecord rec;
   if (threads == 1) {
     // Serial oracle: replay in log order, exactly the pre-partitioned path.
     result->redo_threads_used = 1;
@@ -567,11 +595,12 @@ Status RecoveryManager::RunPageRedo(const std::vector<LogRecord>& records,
     std::unordered_set<PageId> pages;
     std::vector<PageId> touched;
     for (size_t idx : indices) {
-      Status s = ApplyPageRedo(records[idx]);
+      Status s = frames.Parse(idx, &rec);
+      if (s.ok()) s = ApplyPageRedo(rec);
       if (!s.ok()) return s;
       ++result->records_redone;
       ++result->redo_records_per_thread[0];
-      TouchPages(records[idx], &touched);
+      TouchPages(rec, &touched);
       for (PageId p : touched) pages.insert(p);
     }
     result->redo_pages_per_thread[0] = pages.size();
@@ -598,7 +627,9 @@ Status RecoveryManager::RunPageRedo(const std::vector<LogRecord>& records,
   std::vector<PageId> first_page(indices.size());
   std::vector<PageId> touched;
   for (size_t i = 0; i < indices.size(); ++i) {
-    TouchPages(records[indices[i]], &touched);
+    Status s = frames.Parse(indices[i], &rec);
+    if (!s.ok()) return s;
+    TouchPages(rec, &touched);
     if (touched.empty()) {
       return Status::Corruption("page redo record names no page");
     }
@@ -654,10 +685,12 @@ Status RecoveryManager::RunPageRedo(const std::vector<LogRecord>& records,
   std::vector<Status> lane_status(lanes);
   std::atomic<size_t> next_comp{0};
   auto run_lane = [&](int w) {
+    LogRecord lane_rec;
     for (size_t c = next_comp.fetch_add(1); c < components;
          c = next_comp.fetch_add(1)) {
       for (size_t k = comp_start[c]; k < comp_start[c + 1]; ++k) {
-        Status s = ApplyPageRedo(records[order[k]]);
+        Status s = frames.Parse(order[k], &lane_rec);
+        if (s.ok()) s = ApplyPageRedo(lane_rec);
         if (!s.ok()) {
           lane_status[w] = s;
           return;

@@ -118,11 +118,11 @@ class RecoveryManager {
   /// Dispatch one page-redo record (kInsert..kNodeFree via BTree::RedoApply,
   /// kReorgMove/kReorgModify via the handlers above).
   Status ApplyPageRedo(const LogRecord& rec);
-  /// Replay the page-redo records named by `indices` (into `records`, in
-  /// ascending log order): in log order when `threads` is 1, else component
-  /// by component on max(1, threads) lanes. Fills the per-lane forensics in
-  /// `result`.
-  Status RunPageRedo(const std::vector<LogRecord>& records,
+  /// Replay the page-redo records named by `indices` (frame numbers in
+  /// `frames`, in ascending log order): in log order when `threads` is 1,
+  /// else component by component on max(1, threads) lanes. Fills the
+  /// per-lane forensics in `result`.
+  Status RunPageRedo(const LogFrames& frames,
                      const std::vector<size_t>& indices, int threads,
                      RecoveryResult* result);
 

@@ -353,13 +353,19 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
       ctx_->log->Append(&alloc);
       ctx_->table->RecordLsn(alloc.lsn);
     }
+    // A resumed unit whose ALLOC was replayed continues from the image redo
+    // rebuilt: a fresh frame would drop the records its MOVEs reinstalled.
+    // That image needs a FORMAT only if the crash beat the FORMAT record,
+    // i.e. the page still carries an LSN from before this unit's BEGIN.
     Page* dest_page;
-    s = bp->NewFrameForExisting(dest, &dest_page);
+    s = dest_claimed ? bp->NewFrameForExisting(dest, &dest_page)
+                     : bp->FetchPage(dest, &dest_page);
     if (!s.ok()) {
       release_all();
       return s;
     }
-    if (dest_page->type() != PageType::kLeaf) {
+    if (dest_claimed ||
+        dest_page->page_lsn() < ctx_->table->Snapshot().begin_lsn) {
       std::unique_lock<PageLatch> latch(dest_page->latch());
       LeafNode::Format(dest_page, dest);
       LogRecord fmt;
@@ -383,6 +389,19 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
   };
   std::vector<DoneMove> done_moves;
   std::string unit_high_key;
+  if (resume && !in_place) {
+    // The MOVEs redone before the crash emptied their sources into dest,
+    // so the loop below skips them: start from dest's last key, where an
+    // uncrashed run's END would have put LK for those sources.
+    Page* p;
+    s = bp->FetchPage(dest, &p);
+    if (!s.ok()) {
+      release_all();
+      return s;
+    }
+    unit_high_key = LastKeyOf(p);
+    bp->UnpinPage(dest, false);
+  }
 
   for (PageId src : sources) {
     if (src == dest) {

@@ -16,7 +16,9 @@ class FaultFile : public File {
 
   Status Read(uint64_t offset, size_t n, char* buf,
               size_t* out_n) const override {
-    size_t cap = env_->OnRead(name_, n);
+    bool fail = false;
+    size_t cap = env_->OnRead(name_, n, &fail);
+    if (fail) return Status::IOError("injected fault on read of " + name_);
     Status s = base_->Read(offset, n, buf, out_n);
     if (s.ok() && *out_n > cap) *out_n = cap;
     return s;
@@ -153,6 +155,14 @@ void FaultInjectionEnv::ShortReadAfter(int n, const std::string& suffix,
   Arm(std::move(spec));
 }
 
+void FaultInjectionEnv::FailReadAfter(int n, const std::string& suffix) {
+  FaultSpec spec;
+  spec.kind = FaultKind::kFailRead;
+  spec.file_suffix = suffix;
+  spec.countdown = n;
+  Arm(std::move(spec));
+}
+
 void FaultInjectionEnv::ObserveOnly(const std::string& suffix,
                                     const std::string& op) {
   FaultSpec spec;
@@ -210,7 +220,10 @@ FaultInjectionEnv::WriteDecision FaultInjectionEnv::OnWriteLikeOp(
     d.action = WriteDecision::kFail;
     return d;
   }
-  if (spec_.kind == FaultKind::kShortRead || !Matches(name, op)) return d;
+  if (spec_.kind == FaultKind::kShortRead ||
+      spec_.kind == FaultKind::kFailRead || !Matches(name, op)) {
+    return d;
+  }
   ++observed_;
   if (spec_.kind == FaultKind::kNone || spec_.countdown < 0 ||
       observed_ != static_cast<uint64_t>(spec_.countdown)) {
@@ -232,9 +245,11 @@ FaultInjectionEnv::WriteDecision FaultInjectionEnv::OnWriteLikeOp(
   return d;
 }
 
-size_t FaultInjectionEnv::OnRead(const std::string& name, size_t n) {
+size_t FaultInjectionEnv::OnRead(const std::string& name, size_t n,
+                                 bool* fail) {
   std::lock_guard<std::mutex> g(mu_);
-  if (spec_.kind != FaultKind::kShortRead ||
+  if ((spec_.kind != FaultKind::kShortRead &&
+       spec_.kind != FaultKind::kFailRead) ||
       !WalAwareSuffixMatch(name, spec_.file_suffix)) {
     return SIZE_MAX;
   }
@@ -244,6 +259,10 @@ size_t FaultInjectionEnv::OnRead(const std::string& name, size_t n) {
     return SIZE_MAX;
   }
   fired_ = true;
+  if (spec_.kind == FaultKind::kFailRead) {
+    *fail = true;
+    return 0;
+  }
   size_t cap = spec_.keep_bytes;
   if (spec_.transient) spec_ = FaultSpec();
   return cap < n ? cap : n;

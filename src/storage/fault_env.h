@@ -16,6 +16,7 @@
 //    cut mid-sector leaves the sector half-written on the platter) — and
 //    the env goes down.
 //  - ShortReadAfter: the Nth matching read returns at most keep_bytes.
+//  - FailReadAfter: the Nth matching read fails; later reads proceed.
 //
 // Crash() drops all un-synced writes (delegating to the wrapped MemEnv) and
 // brings the env back up, so a test can crash, reopen, and recover.
@@ -44,6 +45,7 @@ class FaultInjectionEnv : public Env {
     kFailOp,     // fail the Nth matching write/append/sync
     kTornWrite,  // persist a keep_bytes prefix of the Nth matching write
     kShortRead,  // return at most keep_bytes from the Nth matching read
+    kFailRead,   // fail the Nth matching read
   };
 
   struct FaultSpec {
@@ -77,6 +79,7 @@ class FaultInjectionEnv : public Env {
                    bool transient = false);
   void TearWriteAfter(int n, const std::string& suffix, size_t keep_bytes);
   void ShortReadAfter(int n, const std::string& suffix, size_t keep_bytes);
+  void FailReadAfter(int n, const std::string& suffix);
   /// Count matching ops without ever firing (for sizing crash-point sweeps).
   void ObserveOnly(const std::string& suffix = "", const std::string& op = "");
   void Disarm();
@@ -100,8 +103,9 @@ class FaultInjectionEnv : public Env {
   };
   WriteDecision OnWriteLikeOp(const std::string& name, const char* op,
                               size_t n);
-  /// Returns the byte cap for this read (SIZE_MAX = unfaulted).
-  size_t OnRead(const std::string& name, size_t n);
+  /// Returns the byte cap for this read (SIZE_MAX = unfaulted); sets *fail
+  /// when the read is to fail instead.
+  size_t OnRead(const std::string& name, size_t n, bool* fail);
   Status PersistTornPrefix(const std::string& name, uint64_t offset,
                            const Slice& data, size_t keep_bytes);
 

@@ -12,30 +12,84 @@ namespace soreorg {
 
 namespace {
 
-/// True iff a whole, CRC-valid, parseable frame starts at file offset `off`
-/// with the frame fully inside [0, limit).
-bool ValidFrameAt(const File* file, uint64_t off, uint64_t limit) {
-  if (off + LogManager::kFrameHeader > limit) return false;
-  char hdr[LogManager::kFrameHeader];
-  size_t n = 0;
-  if (!file->Read(off, LogManager::kFrameHeader, hdr, &n).ok() ||
-      n < LogManager::kFrameHeader) {
-    return false;
+constexpr uint64_t kFrameHeader = LogManager::kFrameHeader;
+
+/// True iff a whole frame whose CRC matches starts at p, inside p[0, avail).
+bool FrameAt(const char* p, uint64_t avail) {
+  if (avail < kFrameHeader) return false;
+  const uint32_t len = DecodeFixed32(p);
+  if (len == 0 || len > avail - kFrameHeader) return false;
+  return crc32c::Unmask(DecodeFixed32(p + 4)) ==
+         crc32c::Value(p + kFrameHeader, len);
+}
+
+/// The frame scanner: walks buf[0, n) and returns the end of its longest
+/// prefix of whole, CRC-valid frames, calling on_frame(offset) for each.
+template <typename OnFrame>
+uint64_t WalkFrames(const char* buf, uint64_t n, OnFrame&& on_frame) {
+  uint64_t off = 0;
+  while (FrameAt(buf + off, n - off)) {
+    on_frame(off);
+    off += kFrameHeader + DecodeFixed32(buf + off);
   }
-  uint32_t len = DecodeFixed32(hdr);
-  uint32_t masked = DecodeFixed32(hdr + 4);
-  if (len == 0 || off + LogManager::kFrameHeader + len > limit) return false;
-  std::string body(len, '\0');
-  if (!file->Read(off + LogManager::kFrameHeader, len, body.data(), &n).ok() ||
-      n < len) {
-    return false;
+  return off;
+}
+
+/// The torn-tail probe: the first offset in (from, n) where a valid frame
+/// starts, or n if none does. A valid frame past the damage means a hole,
+/// not a tail. (A false positive needs random bytes to pass a CRC32C,
+/// ~2^-32 per candidate offset.)
+uint64_t FrameAfter(const char* buf, uint64_t from, uint64_t n) {
+  for (uint64_t cand = from + 1; cand < n; ++cand) {
+    if (FrameAt(buf + cand, n - cand)) return cand;
   }
-  if (crc32c::Unmask(masked) != crc32c::Value(body.data(), len)) return false;
-  LogRecord rec;
-  return LogRecord::Parse(Slice(body), &rec).ok();
+  return n;
+}
+
+/// Read file[from, from + n) into dst, looping over short reads. *got is
+/// how many bytes arrived: fewer than n only at the end of the file. A
+/// failed read is returned, never taken for the end of the file.
+Status ReadRange(const File* file, uint64_t from, uint64_t n, char* dst,
+                 uint64_t* got) {
+  *got = 0;
+  while (*got < n) {
+    size_t r = 0;
+    Status s = file->Read(from + *got, n - *got, dst + *got, &r);
+    if (!s.ok()) return s;
+    if (r == 0) break;
+    *got += r;
+  }
+  return Status::OK();
+}
+
+/// ReadRange for a range inside the file's size: the bytes a scan judges
+/// (and Open may truncate) must all have been read, so ending early is an
+/// I/O error, not a torn tail.
+Status ReadExtent(const File* file, const std::string& name, uint64_t from,
+                  uint64_t n, char* dst) {
+  uint64_t got = 0;
+  Status s = ReadRange(file, from, n, dst, &got);
+  if (s.ok() && got < n) {
+    s = Status::IOError("WAL segment " + name + " read " +
+                        std::to_string(got) + " of " + std::to_string(n) +
+                        " bytes at offset " + std::to_string(from));
+  }
+  return s;
 }
 
 }  // namespace
+
+Status LogFrames::Parse(size_t i, LogRecord* rec) const {
+  const char* frame = bytes_.get() + (lsns_[i] - 1 - base_);
+  Status s =
+      LogRecord::Parse(Slice(frame + kFrameHeader, DecodeFixed32(frame)), rec);
+  if (!s.ok()) {
+    return Status::Corruption("WAL frame at lsn " + std::to_string(lsns_[i]) +
+                              " matches its CRC but does not parse");
+  }
+  rec->lsn = lsns_[i];
+  return Status::OK();
+}
 
 LogManager::LogManager(Env* env, std::string base_name, LogManagerOptions opts)
     : env_(env), base_(std::move(base_name)), opts_(opts) {}
@@ -146,12 +200,17 @@ Status LogManager::Open() {
       s = env_->NewFile(seg->name, &seg->file);
       if (!s.ok()) return s;
 
+      // Only a file too short to hold a header may lack one: a read that
+      // fails or ends early is returned, so a readable segment is never
+      // taken for an embryonic tail and reset.
       char raw[kSegmentHeaderSize];
-      size_t n = 0;
+      const uint64_t header_bytes =
+          std::min<uint64_t>(kSegmentHeaderSize, seg->file->Size());
+      s = ReadExtent(seg->file.get(), seg->name, 0, header_bytes, raw);
+      if (!s.ok()) return s;
       SegmentHeader h;
-      bool valid = seg->file->Read(0, kSegmentHeaderSize, raw, &n).ok() &&
-                   n == kSegmentHeaderSize && DecodeSegmentHeader(raw, &h) &&
-                   h.seq == seg->seq;
+      bool valid = header_bytes == kSegmentHeaderSize &&
+                   DecodeSegmentHeader(raw, &h) && h.seq == seg->seq;
 
       if (!valid) {
         // Embryonic tail: rotation (or virgin creation) crashed before this
@@ -217,22 +276,14 @@ Status LogManager::Open() {
         return Status::Corruption("WAL segment " + seg->name +
                                   " is unsealed below the tail");
       }
-      uint64_t size = seg->file->Size();
-      uint64_t off = kSegmentHeaderSize;
-      while (off + kFrameHeader <= size) {
-        char fh[kFrameHeader];
-        s = seg->file->Read(off, kFrameHeader, fh, &n);
-        if (!s.ok() || n < kFrameHeader) break;
-        uint32_t len = DecodeFixed32(fh);
-        uint32_t masked = DecodeFixed32(fh + 4);
-        if (len == 0 || off + kFrameHeader + len > size) break;
-        std::string body(len, '\0');
-        s = seg->file->Read(off + kFrameHeader, len, body.data(), &n);
-        if (!s.ok() || n < len) break;
-        if (crc32c::Unmask(masked) != crc32c::Value(body.data(), len)) break;
-        off += kFrameHeader + len;
-      }
-      if (off < size) {
+      const uint64_t size = seg->file->Size();
+      const uint64_t extent = size - kSegmentHeaderSize;
+      std::unique_ptr<char[]> buf(new char[extent]);
+      s = ReadExtent(seg->file.get(), seg->name, kSegmentHeaderSize, extent,
+                     buf.get());
+      if (!s.ok()) return s;
+      const uint64_t prefix = WalkFrames(buf.get(), extent, [](uint64_t) {});
+      if (prefix < extent) {
         // Before discarding the tail as torn, make sure it really is a
         // tail: probe the rest of THIS segment for a CRC-valid frame. A
         // valid frame beyond the damage means mid-segment corruption, and
@@ -240,18 +291,17 @@ Status LogManager::Open() {
         // records. The probe stops at the segment boundary — frames in the
         // next segment (there is none here: this is the tail) can never be
         // suppressed by a tear in this one.
-        for (uint64_t probe = off + 1; probe < size; ++probe) {
-          if (ValidFrameAt(seg->file.get(), probe, size)) {
-            return Status::Corruption(
-                "WAL has valid records beyond a corrupt frame at offset " +
-                std::to_string(probe) + " of " + seg->name +
-                " (mid-segment damage, not a torn tail)");
-          }
+        const uint64_t probe = FrameAfter(buf.get(), prefix, extent);
+        if (probe < extent) {
+          return Status::Corruption(
+              "WAL has valid records beyond a corrupt frame at offset " +
+              std::to_string(kSegmentHeaderSize + probe) + " of " +
+              seg->name + " (mid-segment damage, not a torn tail)");
         }
-        open_dropped_bytes_ += size - off;
-        seg->file->Truncate(off);
+        open_dropped_bytes_ += extent - prefix;
+        seg->file->Truncate(kSegmentHeaderSize + prefix);
       }
-      seg->data_size = off - kSegmentHeaderSize;
+      seg->data_size = prefix;
       chain.push_back(std::move(seg));
     }
     {
@@ -592,35 +642,59 @@ Lsn LogManager::LowestLsn() const {
   return segments_.empty() ? kInvalidLsn : segments_.front()->first_lsn;
 }
 
-Status LogManager::ReadAll(std::vector<LogRecord>* out, Lsn start_lsn,
-                           LogReadStats* stats) const {
-  std::vector<SegmentPtr> segs = SnapshotSegments();
-  uint64_t segments_scanned = 0;
-  uint64_t valid_end = 0;  // 0-based global data offset of the valid prefix end
-  uint64_t total_end = 0;  // 0-based global data offset of the log's last byte
-  bool bad_frame = false;
-  bool mid_log = false;
-
+Status LogManager::Scan(Lsn start_lsn, LogFrames* out,
+                        LogReadStats* stats) const {
+  // The file range [from, limit) each segment from the start on
+  // contributes. Segment data is contiguous in LSN space, so all of it
+  // lands in one buffer, each frame at its LSN's distance from the start.
+  struct Extent {
+    const Segment* seg;
+    bool last;
+    uint64_t from, limit;
+    uint64_t global_from;  // 0-based global data offset of file byte `from`
+  };
+  const std::vector<SegmentPtr> segs = SnapshotSegments();
+  std::vector<Extent> extents;
+  uint64_t total_end = 0;  // 0-based global data offset of the log's end
   for (size_t i = 0; i < segs.size(); ++i) {
-    const SegmentPtr& seg = segs[i];
-    const bool last = (i + 1 == segs.size());
-    uint64_t fsize = seg->file->Size();
+    const Segment& seg = *segs[i];
+    const uint64_t fsize = seg.file->Size();
     // Sealed extents are authoritative from the header; the tail's extent
     // is whatever has been written (a racing in-flight frame CRC-fails and
     // reads as a torn tail, same as the single-file log).
-    uint64_t extent = seg->sealed.load(std::memory_order_acquire)
-                          ? seg->data_size
-                          : (fsize > kSegmentHeaderSize
-                                 ? fsize - kSegmentHeaderSize
-                                 : 0);
-    uint64_t limit = kSegmentHeaderSize + extent;
-    if (limit > fsize) limit = fsize;  // sealed-but-short reads as damage
-    uint64_t seg_begin = seg->first_lsn - 1;  // 0-based global
+    const uint64_t extent =
+        seg.sealed.load(std::memory_order_acquire)
+            ? seg.data_size
+            : (fsize > kSegmentHeaderSize ? fsize - kSegmentHeaderSize : 0);
+    const uint64_t seg_begin = seg.first_lsn - 1;  // 0-based global
     total_end = seg_begin + extent;
-
     if (start_lsn != 0 && start_lsn - 1 >= seg_begin + extent) {
       continue;  // wholly below the requested start
     }
+    const uint64_t skip =
+        start_lsn != 0 && start_lsn - 1 > seg_begin ? start_lsn - 1 - seg_begin
+                                                    : 0;
+    // A sealed segment shorter than its extent reads as damage.
+    extents.push_back({&seg, i + 1 == segs.size(), kSegmentHeaderSize + skip,
+                       std::min(kSegmentHeaderSize + extent, fsize),
+                       seg_begin + skip});
+  }
+
+  out->lsns_.clear();
+  out->base_ = extents.empty() ? 0 : extents.front().global_from;
+  uint64_t buffer_size = 0;
+  for (const Extent& e : extents) {
+    if (e.limit > e.from) {
+      buffer_size = e.global_from + (e.limit - e.from) - out->base_;
+    }
+  }
+  out->bytes_.reset(new char[buffer_size]);
+
+  uint64_t segments_scanned = 0;
+  uint64_t valid_end = 0;  // 0-based global data offset of the valid prefix end
+  bool bad_frame = false;
+  bool mid_log = false;
+  for (const Extent& e : extents) {
     if (bad_frame) {
       // Damage was found in an earlier segment but this one still exists:
       // the log has (or had) content beyond the tear — that is mid-log
@@ -629,63 +703,23 @@ Status LogManager::ReadAll(std::vector<LogRecord>* out, Lsn start_lsn,
       continue;
     }
     ++segments_scanned;
-
-    uint64_t off = kSegmentHeaderSize;
-    if (start_lsn != 0 && start_lsn - 1 > seg_begin) {
-      off = kSegmentHeaderSize + (start_lsn - 1 - seg_begin);
-    }
-    while (off + kFrameHeader <= limit) {
-      char hdr[kFrameHeader];
-      size_t n = 0;
-      Status s = seg->file->Read(off, kFrameHeader, hdr, &n);
-      if (!s.ok() || n < kFrameHeader) {
-        bad_frame = true;
-        break;
-      }
-      uint32_t len = DecodeFixed32(hdr);
-      uint32_t masked = DecodeFixed32(hdr + 4);
-      if (len == 0 || off + kFrameHeader + len > limit) {
-        bad_frame = true;
-        break;
-      }
-      std::string body(len, '\0');
-      s = seg->file->Read(off + kFrameHeader, len, body.data(), &n);
-      if (!s.ok() || n < len) {
-        bad_frame = true;
-        break;
-      }
-      if (crc32c::Unmask(masked) != crc32c::Value(body.data(), len)) {
-        bad_frame = true;
-        break;
-      }
-      LogRecord rec;
-      s = LogRecord::Parse(Slice(body), &rec);
-      if (!s.ok()) {
-        bad_frame = true;
-        break;
-      }
-      rec.lsn = seg->first_lsn + (off - kSegmentHeaderSize);
-      out->push_back(std::move(rec));
-      off += kFrameHeader + len;
-    }
-    if (!bad_frame && off < limit) bad_frame = true;  // sub-header remnant
-    valid_end = seg_begin + (off - kSegmentHeaderSize);
-    if (bad_frame) {
-      // Probe the rest of THIS segment only: a valid frame past the damage
-      // means a hole, not a tail. The probe never crosses the segment
-      // boundary — frames starting the next segment are judged by the
-      // segment chain itself (the `mid_log` branch above), so a torn tail
-      // here can never suppress them. (A false positive needs random bytes
-      // to pass a CRC32C, ~2^-32 per candidate offset.)
-      for (uint64_t cand = off + 1; cand + kFrameHeader <= limit; ++cand) {
-        if (ValidFrameAt(seg->file.get(), cand, limit)) {
-          mid_log = true;
-          break;
-        }
-      }
-      // Damage inside a sealed segment is never a tail: the seal promised
-      // the data was durable.
-      if (!last || seg->sealed.load(std::memory_order_acquire)) {
+    const uint64_t n = e.limit > e.from ? e.limit - e.from : 0;
+    char* buf = out->bytes_.get() + (e.global_from - out->base_);
+    Status s = ReadExtent(e.seg->file.get(), e.seg->name, e.from, n, buf);
+    if (!s.ok()) return s;
+    const uint64_t valid = WalkFrames(buf, n, [&](uint64_t off) {
+      out->lsns_.push_back(e.global_from + off + 1);
+    });
+    valid_end = e.global_from + valid;
+    if (valid < n) {
+      bad_frame = true;
+      // Probe the rest of THIS segment only: the probe never crosses the
+      // segment boundary — frames starting the next segment are judged by
+      // the segment chain itself (the branch above), so a torn tail here
+      // can never suppress them. Damage inside a sealed segment is never a
+      // tail: the seal promised the data was durable.
+      if (FrameAfter(buf, valid, n) < n || !e.last ||
+          e.seg->sealed.load(std::memory_order_acquire)) {
         mid_log = true;
       }
     }
@@ -704,6 +738,21 @@ Status LogManager::ReadAll(std::vector<LogRecord>* out, Lsn start_lsn,
   return Status::OK();
 }
 
+Status LogManager::ReadAll(std::vector<LogRecord>* out, Lsn start_lsn,
+                           LogReadStats* stats) const {
+  LogFrames frames;
+  Status s = Scan(start_lsn, &frames, stats);
+  if (!s.ok()) return s;
+  out->reserve(out->size() + frames.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    LogRecord rec;
+    s = frames.Parse(i, &rec);
+    if (!s.ok()) return s;
+    out->push_back(std::move(rec));
+  }
+  return Status::OK();
+}
+
 Status LogManager::ReadAt(Lsn lsn, LogRecord* rec) const {
   if (lsn == kInvalidLsn) return Status::NotFound("invalid lsn");
   std::vector<SegmentPtr> segs = SnapshotSegments();
@@ -716,23 +765,32 @@ Status LogManager::ReadAt(Lsn lsn, LogRecord* rec) const {
   for (const SegmentPtr& seg : segs) {
     if (seg->first_lsn <= lsn) holder = &seg;
   }
-  const SegmentPtr& seg = *holder;
-  const uint64_t off = kSegmentHeaderSize + (lsn - seg->first_lsn);
-  char hdr[kFrameHeader];
-  size_t n = 0;
-  Status s = seg->file->Read(off, kFrameHeader, hdr, &n);
+  const File* file = (*holder)->file.get();
+  const uint64_t off = kSegmentHeaderSize + (lsn - (*holder)->first_lsn);
+  // One read of a window that holds most frames whole; a longer frame
+  // reads the rest in a second.
+  std::string buf(4096, '\0');
+  uint64_t got = 0;
+  Status s = ReadRange(file, off, buf.size(), buf.data(), &got);
   if (!s.ok()) return s;
-  if (n < kFrameHeader) return Status::NotFound("lsn past end of log");
-  uint32_t len = DecodeFixed32(hdr);
-  uint32_t masked = DecodeFixed32(hdr + 4);
-  std::string body(len, '\0');
-  s = seg->file->Read(off + kFrameHeader, len, body.data(), &n);
-  if (!s.ok()) return s;
-  if (n < len) return Status::Corruption("truncated record");
-  if (crc32c::Unmask(masked) != crc32c::Value(body.data(), len)) {
-    return Status::Corruption("crc mismatch");
+  if (got < kFrameHeader) return Status::NotFound("lsn past end of log");
+  const uint64_t frame = kFrameHeader + DecodeFixed32(buf.data());
+  if (frame > got) {
+    // The length was read from the file: bound it by the file before it
+    // sizes a buffer.
+    if (off + frame > file->Size()) {
+      return Status::Corruption("truncated record");
+    }
+    buf.resize(frame);
+    uint64_t more = 0;
+    s = ReadRange(file, off + got, frame - got, buf.data() + got, &more);
+    if (!s.ok()) return s;
+    got += more;
   }
-  s = LogRecord::Parse(Slice(body), rec);
+  if (got < frame) return Status::Corruption("truncated record");
+  if (!FrameAt(buf.data(), frame)) return Status::Corruption("crc mismatch");
+  s = LogRecord::Parse(
+      Slice(buf.data() + kFrameHeader, frame - kFrameHeader), rec);
   if (!s.ok()) return s;
   rec->lsn = lsn;
   return Status::OK();

@@ -46,7 +46,7 @@
 // the same global offsets and are byte-identical.
 //
 // The segment list is guarded by seg_mu_ and handed out as a shared_ptr
-// snapshot, so ReadAll/ReadAt never block appends or flushes; a reader that
+// snapshot, so Scan/ReadAt never block appends or flushes; a reader that
 // races the leader's in-flight frame sees a CRC failure and reports it as a
 // torn tail, exactly like the single-file log did.
 
@@ -80,6 +80,25 @@ struct LogReadStats {
   uint64_t segments_scanned = 0;  // segments the scan actually visited
   bool torn_tail = false;      // scan stopped on a bad/short frame
   bool mid_log_corruption = false;  // valid frame found after the bad one
+};
+
+/// The frames one LogManager::Scan found: the log's data bytes from the
+/// scan's start, as read, plus the LSN of every valid frame in log order.
+/// Records are decoded on demand, so holding a scan costs the log's size in
+/// bytes and 8 bytes per frame, not a parsed LogRecord per frame.
+class LogFrames {
+ public:
+  size_t size() const { return lsns_.size(); }
+  Lsn lsn(size_t i) const { return lsns_[i]; }
+  /// Decode frame i into *rec (rec->lsn included). Its CRC matched during
+  /// the scan, so a body that does not parse is Corruption, not a tear.
+  Status Parse(size_t i, LogRecord* rec) const;
+
+ private:
+  friend class LogManager;
+  uint64_t base_ = 0;  // 0-based global data offset of bytes_[0]
+  std::unique_ptr<char[]> bytes_;
+  std::vector<Lsn> lsns_;
 };
 
 struct LogManagerOptions {
@@ -134,10 +153,16 @@ class LogManager {
   /// First LSN still present in the log (advances with truncation).
   Lsn LowestLsn() const;
 
-  /// Scan all valid records from `start_lsn` (default: start of log).
-  /// Corrupt/torn tails terminate the scan without error; when `stats` is
-  /// given, the tail is characterized (bytes dropped, and whether a valid
-  /// frame exists beyond it — mid-log corruption the caller should refuse).
+  /// Collect every valid frame from `start_lsn` (default: start of log).
+  /// Each visited segment's extent is read with one large read and its
+  /// frames are walked in memory. Corrupt/torn tails terminate the scan
+  /// without error; when `stats` is given, the tail is characterized (bytes
+  /// dropped, and whether a valid frame exists beyond it — mid-log
+  /// corruption the caller should refuse).
+  Status Scan(Lsn start_lsn, LogFrames* out,
+              LogReadStats* stats = nullptr) const;
+
+  /// Scan, then parse every frame into `out`.
   Status ReadAll(std::vector<LogRecord>* out, Lsn start_lsn = 0,
                  LogReadStats* stats = nullptr) const;
 

@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace soreorg {
 namespace {
 
@@ -151,6 +156,42 @@ TEST(CrashTortureTest, CleanCrashAcrossSegmentRotationAndTruncation) {
   EXPECT_EQ(stats.failures, 0);
   EXPECT_EQ(stats.detected_corruptions, 0);
   EXPECT_EQ(stats.recoveries_ok, stats.points_tested);
+}
+
+TEST(CrashTortureTest, CleanCrashResumesNewPlaceUnitsAcrossSegmentShapes) {
+  // Crash at every point with segment sizes and churn that put a new-place
+  // unit's MOVE in the log but not its END. Redo rebuilds the destination;
+  // the resumed unit must continue from that image, not from a fresh frame,
+  // or the moved records vanish and the scan comes up short. Tier-1 runs
+  // three shapes; SOREORG_TORTURE_SEGMENT_MATRIX=1 runs churn {8, 16, 24,
+  // 40} x segment bytes {2048, ..., 8192}.
+  std::vector<std::pair<int, size_t>> shapes = {
+      {8, 2048}, {16, 4096}, {24, 3072}};
+  const char* matrix = std::getenv("SOREORG_TORTURE_SEGMENT_MATRIX");
+  if (matrix != nullptr && std::string(matrix) == "1") {
+    shapes.clear();
+    for (int churn : {8, 16, 24, 40}) {
+      for (size_t bytes : {2048, 3072, 4096, 5120, 6144, 8192}) {
+        shapes.emplace_back(churn, bytes);
+      }
+    }
+  }
+  for (const auto& [churn, segment_bytes] : shapes) {
+    TortureOptions opt = SmallWorkload(TortureMode::kCleanCrash);
+    opt.checkpoint_churn_txns = churn;
+    opt.db.wal_segment_bytes = segment_bytes;
+    opt.db.wal_recycle_segments = 2;
+    TortureHarness harness(opt);
+    TortureStats stats;
+    Status s = harness.Run(&stats);
+    std::fprintf(stderr, "[torture] churn=%d segment_bytes=%zu\n", churn,
+                 segment_bytes);
+    LogStats(stats);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(stats.failures, 0);
+    EXPECT_EQ(stats.faults_fired, stats.points_tested);
+    EXPECT_EQ(stats.recoveries_ok, stats.points_tested);
+  }
 }
 
 TEST(CrashTortureTest, TornWalWriteAcrossSegmentBoundaries) {

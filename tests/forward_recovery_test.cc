@@ -3,6 +3,9 @@
 // (the conventional alternative) is validated as the E4 ablation.
 
 #include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "tests/test_util.h"
 
@@ -68,6 +71,57 @@ TEST_F(ForwardRecoveryTest, SweepCrashPointsAcrossTheFirstUnits) {
   }
   std::fprintf(stderr, "[sweep] first-units fired=%d of 29\n", fired);
   EXPECT_GE(fired, 21);  // coverage floor: 21 of the 29 points land in the pass
+}
+
+TEST_F(ForwardRecoveryTest, ResumedUnitsEndAtTheKeysOfAnUncrashedRun) {
+  // A new-place unit resumed after its MOVEs drained its sources finds
+  // nothing left to move. Its END must still carry the key an uncrashed run
+  // logs (the destination's last key), or LK falls behind records the unit
+  // already moved and the pass plans them again. A one-byte log buffer
+  // flushes every record as it is appended, so the sweep, which crashes at
+  // every write of any file, lands between each MOVE and its END.
+  DatabaseOptions opts;
+  opts.log_buffer_bytes = 1;
+  auto end_keys = [this](std::map<uint32_t, std::string>* ends) {
+    std::vector<LogRecord> recs;
+    ASSERT_TRUE(db_->log_manager()->ReadAll(&recs).ok());
+    for (const LogRecord& r : recs) {
+      if (r.type == LogType::kReorgEnd) (*ends)[r.unit] = r.key;
+    }
+  };
+  constexpr uint64_t kRecords = 800, kSeed = 7;
+  OpenDb(opts);
+  SparsifyAndCheckpoint(kRecords, kSeed);
+  ASSERT_TRUE(db_->reorganizer()->RunLeafPass().ok());
+  std::map<uint32_t, std::string> want;
+  end_keys(&want);
+  ASSERT_FALSE(want.empty());
+
+  uint64_t resumed = 0;
+  for (int crash_at = 1;; ++crash_at) {
+    OpenDb(opts);
+    SparsifyAndCheckpoint(kRecords, kSeed);
+    env_->FailOpAfter(crash_at, "", "");
+    db_->reorganizer()->RunLeafPass();  // the status is the crash itself
+    if (!env_->fault_fired()) break;
+    env_->Disarm();
+    db_.reset();
+    env_->Crash();
+    ASSERT_TRUE(Database::Open(env_.get(), options_, &db_).ok())
+        << "crash at " << crash_at;
+    resumed += db_->reorganizer()->stats().units_resumed;
+    std::map<uint32_t, std::string> got;
+    end_keys(&got);
+    for (const auto& [unit, key] : got) {
+      ASSERT_EQ(want.count(unit), 1u) << "crash at " << crash_at;
+      EXPECT_EQ(key, want[unit]) << "crash at " << crash_at << ", unit "
+                                 << unit;
+    }
+    EXPECT_EQ(CountRecords(), survivors_.size()) << "crash at " << crash_at;
+  }
+  std::fprintf(stderr, "[sweep] end keys: units resumed=%llu\n",
+               static_cast<unsigned long long>(resumed));
+  EXPECT_GT(resumed, 0u);
 }
 
 TEST_F(ForwardRecoveryTest, ForwardRecoveryPreservesFinishedUnits) {

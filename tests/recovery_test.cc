@@ -2,6 +2,7 @@
 
 #include <functional>
 
+#include "src/reorg/reorg_log.h"
 #include "tests/test_util.h"
 
 namespace soreorg {
@@ -105,6 +106,40 @@ TEST_F(RecoveryTest, AllocationStateRecovered) {
         Put(static_cast<uint64_t>(100000 + i), std::string(64, 'n')).ok());
   }
   EXPECT_TRUE(db_->tree()->CheckConsistency().ok());
+}
+
+TEST_F(RecoveryTest, ReplayedAllocationFarPastTheFileEndIsCorruption) {
+  ASSERT_TRUE(Put(1, "v").ok());
+  // Replaying this ALLOC would put a million never-used page ids into the
+  // free set; no log of a few records can have grown the file that far.
+  LogRecord alloc;
+  alloc.type = LogType::kAllocPage;
+  alloc.txn_id = kReorgTxnId;
+  alloc.page_id = db_->disk_manager()->page_count() + 1000000;
+  ASSERT_TRUE(db_->log_manager()->AppendAndFlush(&alloc).ok());
+  Status s = HardCrashAndReopen();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+TEST_F(RecoveryTest, KeysOnlyMoveThatAStaleSourceCannotSupplyIsCorruption) {
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(Put(static_cast<uint64_t>(i), std::string(64, 'v')).ok());
+  }
+  std::vector<PageId> leaves;
+  ASSERT_TRUE(db_->tree()->CollectLeaves(&leaves).ok());
+  ASSERT_GE(leaves.size(), 2u);
+  // A keys-only MOVE is redone by copying each record from the source: if
+  // both pages predate the MOVE, the source must hold every key it names.
+  LogRecord move;
+  move.type = LogType::kReorgMove;
+  move.txn_id = kReorgTxnId;
+  move.flags = kMoveKeysOnly;
+  move.page_id = leaves[0];
+  move.page_id2 = leaves[1];
+  move.payload = EncodeMovedKeys({EncodeU64Key(999999)});
+  ASSERT_TRUE(db_->log_manager()->AppendAndFlush(&move).ok());
+  Status s = HardCrashAndReopen();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
 TEST_F(RecoveryTest, CrashDuringHeavyChurnAtEveryTenthWalWrite) {

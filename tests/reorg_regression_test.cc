@@ -209,9 +209,10 @@ TEST_F(ReorgRegressionTest, CheckpointDuringLeafPassIsRecoverable) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
-  ASSERT_TRUE(db_->reorganizer()->RunLeafPass().ok());
+  Status s = db_->reorganizer()->RunLeafPass();
   stop.store(true);
-  checkpointer.join();
+  checkpointer.join();  // before any ASSERT can return
+  ASSERT_TRUE(s.ok()) << s.ToString();
   // The mid-pass checkpoints carried the reorganization table; a crash now
   // recovers from the latest one.
   ASSERT_TRUE(HardCrashAndReopen().ok());
