@@ -8,20 +8,6 @@
 
 namespace soreorg {
 
-namespace {
-
-std::string EncodePid(PageId pid) {
-  std::string s;
-  PutFixed32(&s, pid);
-  return s;
-}
-
-PageId DecodePid(const Slice& s) {
-  return s.size() == 4 ? DecodeFixed32(s.data()) : kInvalidPageId;
-}
-
-}  // namespace
-
 BTree::BTree(BufferPool* bp, LogManager* log, LockManager* locks,
              BTreeOptions options)
     : bp_(bp), log_(log), locks_(locks), options_(options) {}

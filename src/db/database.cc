@@ -88,6 +88,7 @@ Status Database::Open(Env* env, DatabaseOptions options,
     } else {
       s = db->recovery_->UndoIncompleteUnit(tree, rr);
       if (!s.ok()) return s;
+      db->reorg_table_.EndUnit(rr.reorg.largest_finished_key);  // LK kept
     }
   }
   db->pass3_pending_ = rr.reorg.reorg_bit;

@@ -14,10 +14,6 @@ namespace soreorg {
 
 namespace {
 
-PageId DecodePid(const Slice& s) {
-  return s.size() == 4 ? DecodeFixed32(s.data()) : kInvalidPageId;
-}
-
 /// True for record types whose replay mutates page images (everything the
 /// page-redo dispatch in ApplyPageRedo handles).
 bool IsPageRedoType(LogType t) {
@@ -96,169 +92,39 @@ RecoveryManager::RecoveryManager(DiskManager* disk, BufferPool* bp,
     : disk_(disk), bp_(bp), log_(log), master_(master), side_file_(side_file) {}
 
 Status RecoveryManager::RedoReorgMove(const LogRecord& rec) {
-  PageId org = rec.page_id;
-  PageId dest = rec.page_id2;
-
-  if (rec.flags & kSwapImages) {
-    // Swap redo: the payload is org's pre-swap image; careful writing
-    // guarantees dest (which received org's image) never reached disk
-    // before org did.
-    Page* a;
-    Status s = bp_->FetchPage(org, &a);
-    if (!s.ok()) return s;
-    Page* b;
-    s = bp_->FetchPage(dest, &b);
-    if (!s.ok()) {
-      bp_->UnpinPage(org, false);
-      return s;
-    }
-    bool a_stale = a->page_lsn() < rec.lsn;
-    bool b_stale = b->page_lsn() < rec.lsn;
-    if ((a_stale && a->type() != PageType::kLeaf) ||
-        (b_stale && b->type() != PageType::kLeaf)) {
-      bp_->UnpinPage(org, false);
-      bp_->UnpinPage(dest, false);
-      return Status::Corruption("swap redo found a non-leaf image at a stale "
-                                "org/dest page");
-    }
-    std::vector<std::string> image_cells;
-    UnpackCells(rec.payload, &image_cells);
-    if (a_stale && b_stale) {
-      SlottedPage spa(a);
-      std::vector<std::string> b_new;  // a's new content = b's old cells
-      SlottedPage spb(b);
-      for (int i = 0; i < spb.slot_count(); ++i) {
-        b_new.push_back(spb.GetCell(i).ToString());
-      }
-      spa.Clear();
-      for (size_t i = 0; i < b_new.size(); ++i) {
-        spa.InsertCell(static_cast<int>(i), b_new[i]);
-      }
-      spb.Clear();
-      for (size_t i = 0; i < image_cells.size(); ++i) {
-        spb.InsertCell(static_cast<int>(i), image_cells[i]);
-      }
-      a->set_page_lsn(rec.lsn);
-      b->set_page_lsn(rec.lsn);
-      bp_->UnpinPage(org, true);
-      bp_->UnpinPage(dest, true);
-    } else if (b_stale) {
-      SlottedPage spb(b);
-      spb.Clear();
-      for (size_t i = 0; i < image_cells.size(); ++i) {
-        spb.InsertCell(static_cast<int>(i), image_cells[i]);
-      }
-      b->set_page_lsn(rec.lsn);
-      bp_->UnpinPage(org, false);
-      bp_->UnpinPage(dest, true);
-    } else {
-      bp_->UnpinPage(org, false);
-      bp_->UnpinPage(dest, false);
-    }
-    bp_->AddWriteOrder(org, dest);
-    return Status::OK();
-  }
-
-  Page* src_page;
-  Status s = bp_->FetchPage(org, &src_page);
+  const bool swap = (rec.flags & kSwapImages) != 0;
+  Page* org;
+  Status s = bp_->FetchPage(rec.page_id, &org);
   if (!s.ok()) return s;
-  Page* dest_page;
-  s = bp_->FetchPage(dest, &dest_page);
+  Page* dest;
+  s = bp_->FetchPage(rec.page_id2, &dest);
   if (!s.ok()) {
-    bp_->UnpinPage(org, false);
+    bp_->UnpinPage(rec.page_id, false);
     return s;
   }
-
-  bool dest_stale = dest_page->page_lsn() < rec.lsn;
-  bool src_stale = src_page->page_lsn() < rec.lsn;
+  const bool org_stale = org->page_lsn() < rec.lsn;
+  const bool dest_stale = dest->page_lsn() < rec.lsn;
   // A stale image must still be the leaf this record was logged against:
   // checkpoints are sharp, formats precede moves in the log, and recycled
   // page ids carry an LSN stamp newer than any old-tree record. Anything
   // else is a careful-writing violation — refuse rather than reinterpret
   // another page type as leaf cells.
-  if ((src_stale && src_page->type() != PageType::kLeaf) ||
-      (dest_stale && dest_page->type() != PageType::kLeaf)) {
-    bp_->UnpinPage(org, false);
-    bp_->UnpinPage(dest, false);
-    return Status::Corruption("reorg move redo found a non-leaf image at a "
-                              "stale org/dest page");
+  if ((org_stale && org->type() != PageType::kLeaf) ||
+      (dest_stale && dest->type() != PageType::kLeaf)) {
+    bp_->UnpinPage(rec.page_id, false);
+    bp_->UnpinPage(rec.page_id2, false);
+    return Status::Corruption(swap ? "swap redo found a non-leaf image at a "
+                                     "stale org/dest page"
+                                   : "reorg move redo found a non-leaf image "
+                                     "at a stale org/dest page");
   }
-  bool touched_dest = false, touched_src = false;
-
-  if (rec.flags & kMoveKeysOnly) {
-    std::vector<std::string> keys;
-    s = DecodeMovedKeys(rec.payload, &keys);
-    if (!s.ok()) {
-      bp_->UnpinPage(org, false);
-      bp_->UnpinPage(dest, false);
-      return s;
-    }
-    if (dest_stale) {
-      LeafNode sl(src_page);
-      LeafNode dl(dest_page);
-      for (const std::string& k : keys) {
-        bool exact;
-        int pos = sl.LowerBound(k, &exact);
-        if (!exact && src_stale) {
-          // Both images predate the move, so the source must still hold
-          // every moved record: careful writing is broken or the log lies.
-          bp_->UnpinPage(org, false);
-          bp_->UnpinPage(dest, false);
-          return Status::Corruption(
-              "keys-only move redo: a stale source lacks a moved key");
-        }
-        if (!exact) continue;
-        bool dexact;
-        dl.LowerBound(k, &dexact);
-        if (!dexact) dl.Insert(k, sl.ValueAt(pos));
-      }
-      dest_page->set_page_lsn(rec.lsn);
-      touched_dest = true;
-    }
-    if (src_stale) {
-      LeafNode sl(src_page);
-      for (const std::string& k : keys) {
-        bool exact;
-        int pos = sl.LowerBound(k, &exact);
-        if (exact) sl.RemoveAt(pos);
-      }
-      src_page->set_page_lsn(rec.lsn);
-      touched_src = true;
-    }
-    // Re-establish the write-order dependency for the rest of recovery.
-    bp_->AddWriteOrder(dest, org);
-  } else {
-    std::vector<std::pair<std::string, std::string>> records;
-    s = DecodeMovedRecords(rec.payload, &records);
-    if (!s.ok()) {
-      bp_->UnpinPage(org, false);
-      bp_->UnpinPage(dest, false);
-      return s;
-    }
-    if (dest_stale) {
-      LeafNode dl(dest_page);
-      for (const auto& [k, v] : records) {
-        bool exact;
-        dl.LowerBound(k, &exact);
-        if (!exact) dl.Insert(k, v);
-      }
-      dest_page->set_page_lsn(rec.lsn);
-      touched_dest = true;
-    }
-    if (src_stale) {
-      LeafNode sl(src_page);
-      for (const auto& [k, v] : records) {
-        bool exact;
-        int pos = sl.LowerBound(k, &exact);
-        if (exact) sl.RemoveAt(pos);
-      }
-      src_page->set_page_lsn(rec.lsn);
-      touched_src = true;
-    }
-  }
-  bp_->UnpinPage(org, touched_src);
-  bp_->UnpinPage(dest, touched_dest);
-  return Status::OK();
+  // A swap rewrites org only while dest is stale too.
+  const bool org_touched = org_stale && (!swap || dest_stale);
+  s = swap ? ApplyReorgSwap(bp_, rec, org, org_stale, dest, dest_stale)
+           : ApplyReorgMove(bp_, rec, org, org_stale, dest, dest_stale);
+  bp_->UnpinPage(rec.page_id, s.ok() && org_touched);
+  bp_->UnpinPage(rec.page_id2, s.ok() && dest_stale);
+  return s;
 }
 
 Status RecoveryManager::RedoReorgModify(const LogRecord& rec) {
@@ -274,36 +140,7 @@ Status RecoveryManager::RedoReorgModify(const LogRecord& rec) {
     return Status::Corruption("reorg modify redo found a non-internal image "
                               "at a stale base page");
   }
-  InternalNode node(page);
-  PageId org_pid = DecodePid(rec.value);
-  PageId new_pid = DecodePid(rec.value2);
-  if (new_pid == kInvalidPageId) {
-    // Removal of (org key -> org pid).
-    bool exact;
-    int pos = node.LowerBound(rec.key, &exact);
-    if (exact && node.ChildAt(pos) == org_pid) node.RemoveAt(pos);
-  } else if (rec.key.empty() && org_pid == kInvalidPageId &&
-             !rec.key2.empty()) {
-    // Insertion of (new key -> new pid).
-    bool exact;
-    node.LowerBound(rec.key2, &exact);
-    if (!exact) node.Insert(rec.key2, new_pid);
-  } else {
-    // Replacement.
-    bool exact;
-    int pos = node.LowerBound(rec.key, &exact);
-    if (exact) {
-      if (rec.key == rec.key2) {
-        node.SetChildAt(pos, new_pid);
-      } else {
-        node.RemoveAt(pos);
-        bool e2;
-        node.LowerBound(rec.key2, &e2);
-        if (!e2) node.Insert(rec.key2, new_pid);
-      }
-    }
-  }
-  page->set_page_lsn(rec.lsn);
+  ApplyReorgModify(rec, page);
   bp_->UnpinPage(rec.page_id, true);
   return Status::OK();
 }
@@ -754,126 +591,41 @@ Status RecoveryManager::UndoIncompleteUnit(BTree* tree,
   const auto& records = result.incomplete_unit_records;
   if (records.empty()) return Status::OK();
 
+  // Walk the unit backwards. Each record's compensation is logged, then
+  // applied the way redo applies it, so redo after the next crash rebuilds
+  // what this rollback restores. FORMAT and LINK need none: the freed
+  // destination's image no longer matters, and RepairSideChain below
+  // rewrites the side pointers.
+  Lsn prev = records.back().lsn;
   for (auto it = records.rbegin(); it != records.rend(); ++it) {
-    const LogRecord& rec = *it;
-    switch (rec.type) {
-      case LogType::kReorgModify: {
-        // Invert: swap the org and new roles.
-        LogRecord inv = rec;
-        std::swap(inv.key, inv.key2);
-        std::swap(inv.value, inv.value2);
-        LogRecord logged = inv;
-        logged.prev_lsn = rec.lsn;
-        log_->Append(&logged);
-        logged.payload.clear();
-        // Re-point the base page.
-        inv.lsn = logged.lsn;
-        Status s = RedoReorgModify(inv);
-        if (!s.ok()) return s;
+    LogRecord comp;
+    Status s = ReorgCompensation(bp_, *it, &comp);
+    if (s.IsNotSupported()) continue;
+    if (!s.ok()) return s;
+    comp.txn_id = kReorgTxnId;
+    comp.unit = it->unit;
+    comp.prev_lsn = prev;
+    log_->Append(&comp);
+    prev = comp.lsn;
+    switch (comp.type) {
+      case LogType::kAllocPage:
+        disk_->AllocatePageAt(comp.page_id);  // as redo replays an ALLOC
         break;
-      }
-      case LogType::kReorgMove: {
-        if (rec.flags & kSwapImages) {
-          // A swap is self-inverse: swap the two pages' contents again.
-          Page* a;
-          Page* b;
-          if (!bp_->FetchPage(rec.page_id, &a).ok()) break;
-          if (!bp_->FetchPage(rec.page_id2, &b).ok()) {
-            bp_->UnpinPage(rec.page_id, false);
-            break;
-          }
-          SlottedPage spa(a), spb(b);
-          std::vector<std::string> ca, cb;
-          for (int i = 0; i < spa.slot_count(); ++i) {
-            ca.push_back(spa.GetCell(i).ToString());
-          }
-          for (int i = 0; i < spb.slot_count(); ++i) {
-            cb.push_back(spb.GetCell(i).ToString());
-          }
-          spa.Clear();
-          for (size_t i = 0; i < cb.size(); ++i) {
-            spa.InsertCell(static_cast<int>(i), cb[i]);
-          }
-          spb.Clear();
-          for (size_t i = 0; i < ca.size(); ++i) {
-            spb.InsertCell(static_cast<int>(i), ca[i]);
-          }
-          LogRecord inv;
-          inv.type = LogType::kReorgMove;
-          inv.txn_id = kReorgTxnId;
-          inv.unit = rec.unit;
-          inv.flags = kSwapImages;
-          inv.page_id = rec.page_id;
-          inv.page_id2 = rec.page_id2;
-          inv.payload = PackCellRange(spa, 0, 0);  // images already applied
-          log_->Append(&inv);
-          a->set_page_lsn(inv.lsn);
-          b->set_page_lsn(inv.lsn);
-          bp_->UnpinPage(rec.page_id, true);
-          bp_->UnpinPage(rec.page_id2, true);
-          break;
-        }
-        // Move the records back from dest to org (values live in dest now).
-        std::vector<std::string> keys;
-        if (rec.flags & kMoveKeysOnly) {
-          DecodeMovedKeys(rec.payload, &keys);
-        } else {
-          std::vector<std::pair<std::string, std::string>> recs;
-          DecodeMovedRecords(rec.payload, &recs);
-          for (auto& [k, v] : recs) keys.push_back(k);
-        }
-        Page* src_page;
-        Page* dest_page;
-        if (!bp_->FetchPage(rec.page_id, &src_page).ok()) break;
-        if (!bp_->FetchPage(rec.page_id2, &dest_page).ok()) {
-          bp_->UnpinPage(rec.page_id, false);
-          break;
-        }
-        if (src_page->type() != PageType::kLeaf) {
-          LeafNode::Format(src_page, rec.page_id);
-          disk_->AllocatePageAt(rec.page_id);
-        }
-        LeafNode sl(src_page);
-        LeafNode dl(dest_page);
-        std::vector<std::pair<std::string, std::string>> back;
-        for (const std::string& k : keys) {
-          bool exact;
-          int pos = dl.LowerBound(k, &exact);
-          if (exact) {
-            back.emplace_back(k, dl.ValueAt(pos).ToString());
-          }
-        }
-        LogRecord inv;
-        inv.type = LogType::kReorgMove;
-        inv.txn_id = kReorgTxnId;
-        inv.unit = rec.unit;
-        inv.page_id = rec.page_id2;  // org = old dest
-        inv.page_id2 = rec.page_id;  // dest = old org
-        inv.payload = EncodeMovedRecords(back);
-        log_->Append(&inv);
-        for (const auto& [k, v] : back) {
-          bool exact;
-          int pos = dl.LowerBound(k, &exact);
-          if (exact) dl.RemoveAt(pos);
-          bool e2;
-          sl.LowerBound(k, &e2);
-          if (!e2) sl.Insert(k, v);
-        }
-        src_page->set_page_lsn(inv.lsn);
-        dest_page->set_page_lsn(inv.lsn);
-        bp_->UnpinPage(rec.page_id, true);
-        bp_->UnpinPage(rec.page_id2, true);
+      case LogType::kDeallocPage:
+        s = bp_->DeletePage(comp.page_id);
         break;
-      }
       default:
+        s = ApplyPageRedo(comp);
         break;
     }
+    if (!s.ok()) return s;
   }
 
   LogRecord end;
   end.type = LogType::kReorgEnd;
   end.txn_id = kReorgTxnId;
   end.unit = records.front().unit;
+  end.prev_lsn = prev;
   end.key = result.reorg.largest_finished_key;
   Status s = log_->AppendAndFlush(&end);
   if (!s.ok()) return s;

@@ -5,17 +5,23 @@
 //     the active-transaction table, the reorganization table and the side
 //     file image;
 //   * redo — replay the log forward, pageLSN-idempotently, including the
-//     reorganizer's MOVE/MODIFY records (keys-only MOVE redo relies on the
+//     reorganizer's MOVE/MODIFY records. Redo only fetches their pages,
+//     gates each page on its LSN and refuses a stale page of the wrong
+//     type; the page effect itself is the one the passes apply live
+//     (src/reorg/reorg_log.h). Keys-only MOVE redo relies on the
 //     careful-writing invariant: a source page whose move is not yet
-//     reflected on disk still holds the record bodies);
+//     reflected on disk still holds the record bodies;
 //   * undo — roll back loser transactions *logically* with CLRs.
 //
 // Paper-specific part (§5.1, Forward Recovery): the one possibly-incomplete
 // reorganization unit is NOT undone. Its records are collected and handed
 // to Reorganizer::FinishIncompleteUnit, which re-acquires the unit's locks
 // and completes the remaining work. For the E4 ablation an explicit
-// kRollback policy is also implemented: the unit's moves are inverted and
-// its work is lost, exactly what the paper's comparison baseline does.
+// kRollback policy is also implemented: the unit's records are walked
+// backwards, and each one's compensation (ReorgCompensation) is logged and
+// then applied the way redo applies it. The unit's work is lost, exactly
+// what the paper's comparison baseline does, and redo after a later crash
+// replays the rollback like any other logged work.
 //
 // Pass-3 restart (§7.3): internal-page allocations after the most recent
 // STABLE_KEY record are reclaimed, side-file entries beyond the stable key
@@ -104,8 +110,8 @@ class RecoveryManager {
   /// Logical undo of loser transactions with CLRs (call after Attach).
   Status UndoLosers(BTree* tree, const RecoveryResult& result);
 
-  /// kRollback policy only (E4 ablation): invert the incomplete unit's
-  /// moves/modifies so its work is lost, then close the unit.
+  /// kRollback policy only (E4 ablation): log and apply the compensation of
+  /// each of the incomplete unit's records, newest first, then log its END.
   Status UndoIncompleteUnit(BTree* tree, const RecoveryResult& result);
 
   /// Rewrite every leaf's prev/next from key order (used after a rollback

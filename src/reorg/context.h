@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "src/btree/btree.h"
 #include "src/reorg/reorg_log.h"
@@ -54,6 +55,56 @@ struct ReorgContext {
 
   /// Monotonically increasing reorganization unit number.
   std::atomic<uint32_t> next_unit{1};
+
+  /// Appends `rec` as a record of unit `unit`: stamps the reorganizer's txn
+  /// id, the unit and, after BEGIN, the unit's prev_lsn chain, and records
+  /// the LSN in the table. BEGIN opens the unit in the table. END is
+  /// flushed, closes the unit and advances LK to its key; the flush status
+  /// is returned.
+  Status Log(uint32_t unit, LogRecord* rec) {
+    rec->txn_id = kReorgTxnId;
+    rec->unit = unit;
+    if (rec->type == LogType::kReorgBegin) {
+      log->Append(rec);
+      table->BeginUnit(unit, rec->lsn);
+      return Status::OK();
+    }
+    rec->prev_lsn = table->recent_lsn();
+    if (rec->type == LogType::kReorgEnd) {
+      Status s = log->AppendAndFlush(rec);
+      table->EndUnit(rec->key);
+      return s;
+    }
+    log->Append(rec);
+    table->RecordLsn(rec->lsn);
+    return Status::OK();
+  }
+};
+
+/// The locks one unit attempt holds. They are released in reverse order of
+/// acquisition when the holder goes out of scope, on every return path.
+class UnitLocks {
+ public:
+  explicit UnitLocks(LockManager* locks) : locks_(locks) {}
+  UnitLocks(const UnitLocks&) = delete;
+  UnitLocks& operator=(const UnitLocks&) = delete;
+  ~UnitLocks() {
+    for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
+      locks_->Unlock(kReorgTxnId, *it);
+    }
+  }
+
+  Status Lock(const LockName& name, LockMode mode) {
+    Status s = locks_->Lock(kReorgTxnId, name, mode);
+    if (s.ok()) held_.push_back(name);
+    return s;
+  }
+  /// Takes over a lock the reorganizer acquired elsewhere.
+  void Adopt(const LockName& name) { held_.push_back(name); }
+
+ private:
+  LockManager* locks_;
+  std::vector<LockName> held_;
 };
 
 }  // namespace soreorg

@@ -1,19 +1,10 @@
 #include "src/reorg/leaf_compactor.h"
 
 #include <algorithm>
-#include <cassert>
-
-#include "src/util/coding.h"
 
 namespace soreorg {
 
 namespace {
-
-std::string EncodePid(PageId pid) {
-  std::string s;
-  PutFixed32(&s, pid);
-  return s;
-}
 
 std::string Successor(const Slice& k) {
   std::string s = k.ToString();
@@ -193,48 +184,26 @@ Status LeafCompactor::ExecuteUnit(uint32_t unit, PageId base_pid,
 Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
                                       const std::vector<PageId>& sources,
                                       PageId dest, bool resume) {
-  const TxnId id = kReorgTxnId;
-  LockManager* locks = ctx_->locks;
   BufferPool* bp = ctx_->bp;
   const bool in_place = (dest == sources[0]);
-
-  std::vector<LockName> held;
-  auto lock = [&](const LockName& name, LockMode mode) -> Status {
-    Status s = locks->Lock(id, name, mode);
-    if (s.ok()) held.push_back(name);
-    return s;
-  };
-  auto release_all = [&]() {
-    for (auto it = held.rbegin(); it != held.rend(); ++it) {
-      locks->Unlock(id, *it);
-    }
-    held.clear();
-  };
+  UnitLocks held(ctx_->locks);
 
   // --- 1. R lock the base page, verify the plan is still valid ------------
-  Status s = lock(PageLock(base_pid), LockMode::kR);
-  if (!s.ok()) {
-    release_all();
-    return s;
-  }
+  Status s = held.Lock(PageLock(base_pid), LockMode::kR);
+  if (!s.ok()) return s;
   Page* base_page;
   s = bp->FetchPage(base_pid, &base_page);
-  if (!s.ok()) {
-    release_all();
-    return s;
-  }
+  if (!s.ok()) return s;
   {
     std::shared_lock<PageLatch> latch(base_page->latch());
     if (base_page->type() != PageType::kInternal || base_page->level() != 1) {
       bp->UnpinPage(base_pid, false);
-      release_all();
       return Status::Busy("base page changed");
     }
     InternalNode base(base_page);
     for (PageId src : sources) {
       if (base.FindChildSlot(src) < 0 && !resume) {
         bp->UnpinPage(base_pid, false);
-        release_all();
         return Status::Busy("source no longer under base page");
       }
     }
@@ -243,18 +212,12 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
 
   // --- 2. RX lock the unit's leaves (and X the new destination) -----------
   for (PageId src : sources) {
-    s = lock(PageLock(src), LockMode::kRX);
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
+    s = held.Lock(PageLock(src), LockMode::kRX);
+    if (!s.ok()) return s;
   }
   if (!in_place) {
-    s = lock(PageLock(dest), LockMode::kX);
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
+    s = held.Lock(PageLock(dest), LockMode::kX);
+    if (!s.ok()) return s;
   }
 
   // Side-pointer neighbors (§4.3): prev of the first source, next of the
@@ -263,18 +226,12 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
   if (ctx_->tree->options().side_pointers != SidePointerMode::kNone) {
     Page* first_page;
     s = bp->FetchPage(sources.front(), &first_page);
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
+    if (!s.ok()) return s;
     prev_nb = first_page->prev();
     bp->UnpinPage(sources.front(), false);
     Page* last_page;
     s = bp->FetchPage(sources.back(), &last_page);
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
+    if (!s.ok()) return s;
     next_nb = last_page->next();
     bp->UnpinPage(sources.back(), false);
 
@@ -285,21 +242,15 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
       }
       bool same_base;
       s = bp->FetchPage(base_pid, &base_page);
-      if (!s.ok()) {
-        release_all();
-        return s;
-      }
+      if (!s.ok()) return s;
       {
         std::shared_lock<PageLatch> latch(base_page->latch());
         InternalNode base(base_page);
         same_base = base.FindChildSlot(nb) >= 0;
       }
       bp->UnpinPage(base_pid, false);
-      s = lock(PageLock(nb), same_base ? LockMode::kRX : LockMode::kX);
-      if (!s.ok()) {
-        release_all();
-        return s;
-      }
+      s = held.Lock(PageLock(nb), same_base ? LockMode::kRX : LockMode::kX);
+      if (!s.ok()) return s;
     }
   }
 
@@ -311,7 +262,6 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
   if (!in_place) {
     Status claim = ctx_->disk->AllocatePageAt(dest);
     if (!claim.ok() && !resume) {
-      release_all();
       return Status::Busy("destination page no longer free");
     }
     dest_claimed = claim.ok();
@@ -328,16 +278,13 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
     BufferPool::ApplyScope apply_scope(bp);
     LogRecord begin;
     begin.type = LogType::kReorgBegin;
-    begin.txn_id = id;
-    begin.unit = unit;
     begin.unit_type = static_cast<uint8_t>(
         in_place ? ReorgUnitType::kCompact : ReorgUnitType::kMove);
     std::vector<PageId> leaf_list;
     leaf_list.push_back(dest);
     for (PageId p : sources) leaf_list.push_back(p);
     begin.payload = EncodeBeginPages({base_pid}, leaf_list);
-    ctx_->log->Append(&begin);
-    ctx_->table->BeginUnit(unit, begin.lsn);
+    ctx_->Log(unit, &begin);
   }
 
   // --- 4. Prepare the destination ------------------------------------------
@@ -346,12 +293,8 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
     if (dest_claimed) {
       LogRecord alloc;
       alloc.type = LogType::kAllocPage;
-      alloc.txn_id = id;
-      alloc.unit = unit;
-      alloc.prev_lsn = ctx_->table->recent_lsn();
       alloc.page_id = dest;
-      ctx_->log->Append(&alloc);
-      ctx_->table->RecordLsn(alloc.lsn);
+      ctx_->Log(unit, &alloc);
     }
     // A resumed unit whose ALLOC was replayed continues from the image redo
     // rebuilt: a fresh frame would drop the records its MOVEs reinstalled.
@@ -360,34 +303,23 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
     Page* dest_page;
     s = dest_claimed ? bp->NewFrameForExisting(dest, &dest_page)
                      : bp->FetchPage(dest, &dest_page);
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
+    if (!s.ok()) return s;
     if (dest_claimed ||
         dest_page->page_lsn() < ctx_->table->Snapshot().begin_lsn) {
       std::unique_lock<PageLatch> latch(dest_page->latch());
       LeafNode::Format(dest_page, dest);
       LogRecord fmt;
       fmt.type = LogType::kFormatPage;
-      fmt.txn_id = id;
-      fmt.unit = unit;
-      fmt.prev_lsn = ctx_->table->recent_lsn();
       fmt.page_id = dest;
       fmt.unit_type = static_cast<uint8_t>(PageType::kLeaf);
-      ctx_->log->Append(&fmt);
-      ctx_->table->RecordLsn(fmt.lsn);
+      ctx_->Log(unit, &fmt);
       dest_page->set_page_lsn(fmt.lsn);
     }
     bp->UnpinPage(dest, true);
   }
 
   // --- 5. Move records, one source at a time -------------------------------
-  struct DoneMove {
-    PageId src;
-    std::vector<std::pair<std::string, std::string>> records;
-  };
-  std::vector<DoneMove> done_moves;
+  std::vector<LogRecord> moves;  // this attempt's MOVEs, for the §5.2 undo
   std::string unit_high_key;
   if (resume && !in_place) {
     // The MOVEs redone before the crash emptied their sources into dest,
@@ -395,10 +327,7 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
     // uncrashed run's END would have put LK for those sources.
     Page* p;
     s = bp->FetchPage(dest, &p);
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
+    if (!s.ok()) return s;
     unit_high_key = LastKeyOf(p);
     bp->UnpinPage(dest, false);
   }
@@ -423,12 +352,17 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
         records.emplace_back(ln.KeyAt(i).ToString(), ln.ValueAt(i).ToString());
       }
     }
-    bp->UnpinPage(src, false);
-    if (records.empty()) continue;  // nothing left (resume)
+    if (records.empty()) {  // nothing left (resume)
+      bp->UnpinPage(src, false);
+      continue;
+    }
 
     Page* dest_page;
     s = bp->FetchPage(dest, &dest_page);
-    if (!s.ok()) break;
+    if (!s.ok()) {
+      bp->UnpinPage(src, false);
+      break;
+    }
     // Determine how many fit (planning raced with live inserts).
     size_t take = 0;
     {
@@ -442,159 +376,70 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
         ++take;
       }
     }
+    unit_high_key = std::max(unit_high_key, records.back().first);
     if (take == 0) {
       bp->UnpinPage(dest, false);
-      unit_high_key = std::max(unit_high_key,
-                               records.back().first);
+      bp->UnpinPage(src, false);
       continue;
     }
-    std::vector<std::pair<std::string, std::string>> moved(
-        records.begin(), records.begin() + take);
+    records.resize(take);
 
     // Log the MOVE (org first, then the physical change — the paper writes
     // the org-page record first; we use one record covering both pages).
     BufferPool::ApplyScope apply_scope(bp);
     LogRecord move;
     move.type = LogType::kReorgMove;
-    move.txn_id = id;
-    move.unit = unit;
-    move.prev_lsn = ctx_->table->recent_lsn();
     move.page_id = src;
     move.page_id2 = dest;
     if (ctx_->careful_writing) {
       std::vector<std::string> keys;
-      keys.reserve(moved.size());
-      for (const auto& [k, v] : moved) keys.push_back(k);
+      keys.reserve(records.size());
+      for (const auto& [k, v] : records) keys.push_back(k);
       move.payload = EncodeMovedKeys(keys);
       move.flags = kMoveKeysOnly;
     } else {
-      move.payload = EncodeMovedRecords(moved);
+      move.payload = EncodeMovedRecords(records);
     }
-    ctx_->log->Append(&move);
-    ctx_->table->RecordLsn(move.lsn);
-
-    if (ctx_->careful_writing) {
-      // The source's old disk image must survive until the destination is
-      // durable (that is what lets the MOVE record carry only keys).
-      // Register the dependency BEFORE touching either page: once the
-      // source's post-move bytes exist, any flusher — an eviction or a
-      // checkpoint's walk — may pick the source up, and without the edge
-      // in place it would write the record-less image with the destination
-      // still stale, making the moved records unrecoverable.
-      bp->AddWriteOrder(dest, src);
-    }
-
-    {
-      std::unique_lock<PageLatch> latch(dest_page->latch());
-      LeafNode dl(dest_page);
-      for (const auto& [k, v] : moved) {
-        bool exact;
-        dl.LowerBound(k, &exact);
-        if (!exact) dl.Insert(k, v);
-      }
-      dest_page->set_page_lsn(move.lsn);
-    }
+    ctx_->Log(unit, &move);
+    ApplyReorgMove(bp, move, records, src_page, true, dest_page, true);
     bp->UnpinPage(dest, true);
-
-    s = bp->FetchPage(src, &src_page);
-    if (!s.ok()) break;
-    {
-      std::unique_lock<PageLatch> latch(src_page->latch());
-      LeafNode sl(src_page);
-      for (size_t i = 0; i < take && sl.Count() > 0; ++i) sl.RemoveAt(0);
-      src_page->set_page_lsn(move.lsn);
-    }
     bp->UnpinPage(src, true);
-
-    done_moves.push_back({src, moved});
-    ctx_->stats->records_moved += moved.size();
-    unit_high_key = std::max(unit_high_key, moved.back().first);
-    if (take < records.size()) {
-      unit_high_key = std::max(unit_high_key, records.back().first);
-    }
+    moves.push_back(std::move(move));
+    ctx_->stats->records_moved += take;
   }
-  if (!s.ok()) {
-    release_all();
-    return s;
-  }
+  if (!s.ok()) return s;
 
   // --- 6. Upgrade the base-page lock to X ----------------------------------
-  s = locks->Lock(id, PageLock(base_pid), LockMode::kX);
+  s = ctx_->locks->Lock(kReorgTxnId, PageLock(base_pid), LockMode::kX);
   if (!s.ok()) {
     // §5.2 undo-at-deadlock: move everything back, then close the unit.
     BufferPool::ApplyScope apply_scope(bp);
-    for (auto it = done_moves.rbegin(); it != done_moves.rend(); ++it) {
+    for (auto it = moves.rbegin(); it != moves.rend(); ++it) {
       LogRecord back;
-      back.type = LogType::kReorgMove;
-      back.txn_id = id;
-      back.unit = unit;
-      back.prev_lsn = ctx_->table->recent_lsn();
-      back.page_id = dest;
-      back.page_id2 = it->src;
-      back.payload = EncodeMovedRecords(it->records);
-      ctx_->log->Append(&back);
-      ctx_->table->RecordLsn(back.lsn);
-      Page* dest_page;
-      if (bp->FetchPage(dest, &dest_page).ok()) {
-        std::unique_lock<PageLatch> latch(dest_page->latch());
-        LeafNode dl(dest_page);
-        for (const auto& [k, v] : it->records) {
-          bool exact;
-          int pos = dl.LowerBound(k, &exact);
-          if (exact) dl.RemoveAt(pos);
-        }
-        dest_page->set_page_lsn(back.lsn);
-        bp->UnpinPage(dest, true);
-      }
-      Page* src_page;
-      if (bp->FetchPage(it->src, &src_page).ok()) {
-        std::unique_lock<PageLatch> latch(src_page->latch());
-        LeafNode sl(src_page);
-        for (const auto& [k, v] : it->records) {
-          bool exact;
-          sl.LowerBound(k, &exact);
-          if (!exact) sl.Insert(k, v);
-        }
-        src_page->set_page_lsn(back.lsn);
-        bp->UnpinPage(it->src, true);
-      }
+      Status us = ReorgCompensation(bp, *it, &back);
+      if (!us.ok()) return us;
+      ctx_->Log(unit, &back);
+      us = ApplyLoggedMove(bp, back);
+      if (!us.ok()) return us;
     }
     LogRecord end;
     end.type = LogType::kReorgEnd;
-    end.txn_id = id;
-    end.unit = unit;
-    end.prev_lsn = ctx_->table->recent_lsn();
     end.key = ctx_->table->largest_finished_key();  // LK unchanged
-    Status flushed = ctx_->log->AppendAndFlush(&end);
-    ctx_->table->EndUnit(end.key);
-    release_all();
+    Status flushed = ctx_->Log(unit, &end);
     if (!flushed.ok()) return flushed;
     return Status::Deadlock("base-page upgrade deadlock");
   }
 
   // --- 7. MODIFY the base page ---------------------------------------------
-  auto log_modify = [&](const Slice& org_key, PageId org_pid,
-                        const Slice& new_key, PageId new_pid, Page* bpage) {
-    LogRecord mod;
-    mod.type = LogType::kReorgModify;
-    mod.txn_id = id;
-    mod.unit = unit;
-    mod.prev_lsn = ctx_->table->recent_lsn();
-    mod.page_id = base_pid;
-    mod.key = org_key.ToString();
-    mod.value = EncodePid(org_pid);
-    mod.key2 = new_key.ToString();
-    mod.value2 = EncodePid(new_pid);
-    ctx_->log->Append(&mod);
-    ctx_->table->RecordLsn(mod.lsn);
-    bpage->set_page_lsn(mod.lsn);
-  };
-
   s = bp->FetchPage(base_pid, &base_page);
-  if (!s.ok()) {
-    release_all();
-    return s;
-  }
+  if (!s.ok()) return s;
+  auto log_modify = [&](const Slice& org_key, PageId org_pid,
+                        const Slice& new_key, PageId new_pid) {
+    LogRecord mod =
+        ModifyRecord(base_pid, org_key, org_pid, new_key, new_pid);
+    ctx_->Log(unit, &mod);
+    ApplyReorgModify(mod, base_page);
+  };
   // Peek every touched leaf's (count, first key) BEFORE latching the base
   // page: the unit's page locks (RX on the leaves, X on the base) keep the
   // leaves byte-stable through step 7, so the values cannot go stale — and
@@ -626,44 +471,31 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
   }
   LeafPeek dest_peek = in_place ? LeafPeek{} : peek(dest);
 
+  // The unit's MODIFYs go in under one latch hold, so an optimistic reader
+  // never sees the base page with half of them.
   std::vector<PageId> now_empty;
-  std::vector<PageId> live_sources;
   BufferPool::ApplyScope modify_scope(bp);
   {
     std::unique_lock<PageLatch> latch(base_page->latch());
     InternalNode base(base_page);
     for (size_t i = 0; i < sources.size(); ++i) {
       PageId src = sources[i];
-      if (src == dest) {
-        live_sources.push_back(src);
-        continue;
-      }
       const LeafPeek& pk = src_peeks[i];
-      if (!pk.fetched) continue;
+      if (src == dest || !pk.fetched) continue;
       int slot = base.FindChildSlot(src);
       if (pk.cnt == 0) {
         if (slot >= 0) {
-          log_modify(base.KeyAt(slot), src, Slice(), kInvalidPageId,
-                     base_page);
-          base.RemoveAt(slot);
+          log_modify(base.KeyAt(slot), src, Slice(), kInvalidPageId);
         }
         now_empty.push_back(src);
-      } else {
-        live_sources.push_back(src);
-        if (slot >= 0 && base.KeyAt(slot).compare(pk.first_key) != 0) {
-          std::string old_sep = base.KeyAt(slot).ToString();
-          log_modify(old_sep, src, pk.first_key, src, base_page);
-          base.SetKeyAt(slot, pk.first_key);
-        }
+      } else if (slot >= 0 && base.KeyAt(slot).compare(pk.first_key) != 0) {
+        log_modify(base.KeyAt(slot), src, pk.first_key, src);
       }
     }
-    if (!in_place && dest_peek.fetched) {
-      // Map the (new) destination into the base page under its first key.
-      if (base.FindChildSlot(dest) < 0 && !dest_peek.first_key.empty()) {
-        log_modify(Slice(), kInvalidPageId, dest_peek.first_key, dest,
-                   base_page);
-        base.Insert(dest_peek.first_key, dest);
-      }
+    // Map a new destination into the base page under its first key.
+    if (!in_place && dest_peek.fetched && base.FindChildSlot(dest) < 0 &&
+        !dest_peek.first_key.empty()) {
+      log_modify(Slice(), kInvalidPageId, dest_peek.first_key, dest);
     }
   }
   bp->UnpinPage(base_pid, true);
@@ -692,14 +524,10 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
       if (page->prev() != want_prev || page->next() != want_next) {
         LogRecord link;
         link.type = LogType::kLinkPage;
-        link.txn_id = id;
-        link.unit = unit;
-        link.prev_lsn = ctx_->table->recent_lsn();
         link.page_id = p;
         link.page_id2 = want_prev;
         link.page_id3 = want_next;
-        ctx_->log->Append(&link);
-        ctx_->table->RecordLsn(link.lsn);
+        ctx_->Log(unit, &link);
         std::unique_lock<PageLatch> latch(page->latch());
         page->SetPrev(want_prev);
         page->SetNext(want_next);
@@ -715,12 +543,8 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
   for (PageId src : now_empty) {
     LogRecord de;
     de.type = LogType::kDeallocPage;
-    de.txn_id = id;
-    de.unit = unit;
-    de.prev_lsn = ctx_->table->recent_lsn();
     de.page_id = src;
-    ctx_->log->Append(&de);
-    ctx_->table->RecordLsn(de.lsn);
+    ctx_->Log(unit, &de);
     if (ctx_->careful_writing) {
       bp->DeletePageDeferred(src, dest);
     } else {
@@ -732,12 +556,8 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
   // --- 10. END ---------------------------------------------------------------
   LogRecord end;
   end.type = LogType::kReorgEnd;
-  end.txn_id = id;
-  end.unit = unit;
-  end.prev_lsn = ctx_->table->recent_lsn();
   end.key = std::max(unit_high_key, ctx_->table->largest_finished_key());
-  Status flushed = ctx_->log->AppendAndFlush(&end);
-  ctx_->table->EndUnit(end.key);
+  Status flushed = ctx_->Log(unit, &end);
 
   ++ctx_->stats->units;
   if (in_place) {
@@ -745,9 +565,6 @@ Status LeafCompactor::ExecuteUnitOnce(uint32_t unit, PageId base_pid,
   } else {
     ++ctx_->stats->move_units;
   }
-  if (resume) ++ctx_->stats->units_resumed;
-
-  release_all();
   return flushed;
 }
 

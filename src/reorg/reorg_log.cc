@@ -1,5 +1,8 @@
 #include "src/reorg/reorg_log.h"
 
+#include <shared_mutex>
+
+#include "src/btree/node.h"
 #include "src/util/coding.h"
 
 namespace soreorg {
@@ -83,6 +86,239 @@ Status DecodeMovedKeys(const Slice& payload, std::vector<std::string>* keys) {
     keys->push_back(k.ToString());
   }
   return Status::OK();
+}
+
+LogRecord ModifyRecord(PageId base, const Slice& org_key, PageId org_pid,
+                       const Slice& new_key, PageId new_pid) {
+  LogRecord mod;
+  mod.type = LogType::kReorgModify;
+  mod.page_id = base;
+  mod.key = org_key.ToString();
+  mod.value = EncodePid(org_pid);
+  mod.key2 = new_key.ToString();
+  mod.value2 = EncodePid(new_pid);
+  return mod;
+}
+
+namespace {
+
+// The page effect of a MOVE of `records`, in key order. A value may point
+// into org: nothing else writes org while the record is applied (redo owns
+// the page, a pass holds its RX lock), and org changes only after dest has
+// taken the values.
+void MoveRecords(BufferPool* bp, const LogRecord& rec,
+                 const std::vector<std::pair<Slice, Slice>>& records,
+                 Page* org, bool org_stale, Page* dest, bool dest_stale) {
+  if (rec.flags & kMoveKeysOnly) {
+    // org's old disk image must survive until dest is durable: that is what
+    // lets the record carry only keys.
+    bp->AddWriteOrder(rec.page_id2, rec.page_id);
+  }
+  if (dest_stale) {
+    std::unique_lock<PageLatch> latch(dest->latch());
+    LeafNode dl(dest);
+    for (const auto& [k, v] : records) {
+      bool exact;
+      dl.LowerBound(k, &exact);
+      if (!exact) dl.Insert(k, v);
+    }
+    dest->set_page_lsn(rec.lsn);
+  }
+  if (org_stale) {
+    std::unique_lock<PageLatch> latch(org->latch());
+    LeafNode ol(org);
+    for (const auto& [k, v] : records) {
+      bool exact;
+      int pos = ol.LowerBound(k, &exact);
+      if (exact) ol.RemoveAt(pos);
+    }
+    org->set_page_lsn(rec.lsn);
+  }
+}
+
+}  // namespace
+
+Status ApplyReorgMove(BufferPool* bp, const LogRecord& rec, Page* org,
+                      bool org_stale, Page* dest, bool dest_stale) {
+  std::vector<std::pair<Slice, Slice>> records;
+  if (rec.flags & kMoveKeysOnly) {
+    std::vector<std::string> keys;
+    Status s = DecodeMovedKeys(rec.payload, &keys);
+    if (!s.ok()) return s;
+    if (dest_stale) {
+      std::shared_lock<PageLatch> latch(org->latch());
+      LeafNode ol(org);
+      for (const std::string& k : keys) {
+        bool exact;
+        int pos = ol.LowerBound(k, &exact);
+        if (!exact && org_stale) {
+          return Status::Corruption(
+              "keys-only move redo: a stale source lacks a moved key");
+        }
+        if (exact) records.emplace_back(k, ol.ValueAt(pos));
+      }
+    } else {
+      for (const std::string& k : keys) records.emplace_back(k, Slice());
+    }
+    MoveRecords(bp, rec, records, org, org_stale, dest, dest_stale);
+    return Status::OK();
+  }
+  std::vector<std::pair<std::string, std::string>> full;
+  Status s = DecodeMovedRecords(rec.payload, &full);
+  if (!s.ok()) return s;
+  ApplyReorgMove(bp, rec, full, org, org_stale, dest, dest_stale);
+  return Status::OK();
+}
+
+void ApplyReorgMove(
+    BufferPool* bp, const LogRecord& rec,
+    const std::vector<std::pair<std::string, std::string>>& records,
+    Page* org, bool org_stale, Page* dest, bool dest_stale) {
+  MoveRecords(bp, rec, {records.begin(), records.end()}, org, org_stale, dest,
+              dest_stale);
+}
+
+namespace {
+
+void WriteCells(Page* page, const std::vector<std::string>& cells, Lsn lsn) {
+  std::unique_lock<PageLatch> latch(page->latch());
+  SlottedPage sp(page);
+  sp.Clear();
+  for (size_t i = 0; i < cells.size(); ++i) {
+    sp.InsertCell(static_cast<int>(i), cells[i]);
+  }
+  page->set_page_lsn(lsn);
+}
+
+}  // namespace
+
+Status ApplyReorgSwap(BufferPool* bp, const LogRecord& rec, Page* a,
+                      bool a_stale, Page* b, bool b_stale) {
+  std::vector<std::string> image;
+  Status s = UnpackCells(rec.payload, &image);
+  if (!s.ok()) return s;
+  // b, which takes a's old image, must not reach disk before a does.
+  bp->AddWriteOrder(rec.page_id, rec.page_id2);
+  if (!b_stale) return Status::OK();
+  if (a_stale) {
+    std::vector<std::string> cells_b;
+    {
+      std::shared_lock<PageLatch> latch(b->latch());
+      SlottedPage spb(b);
+      UnpackCells(PackCellRange(spb, 0, spb.slot_count()), &cells_b);
+    }
+    WriteCells(a, cells_b, rec.lsn);
+  }
+  WriteCells(b, image, rec.lsn);
+  return Status::OK();
+}
+
+void ApplyReorgModify(const LogRecord& rec, Page* base) {
+  InternalNode node(base);
+  PageId org_pid = DecodePid(rec.value);
+  PageId new_pid = DecodePid(rec.value2);
+  bool exact;
+  if (new_pid == kInvalidPageId) {
+    // Removal of (org key -> org pid).
+    int pos = node.LowerBound(rec.key, &exact);
+    if (exact && node.ChildAt(pos) == org_pid) node.RemoveAt(pos);
+  } else if (org_pid == kInvalidPageId) {
+    // Insertion of (new key -> new pid). The key may be empty: undoing the
+    // removal of a base page's first entry re-inserts its empty separator.
+    node.LowerBound(rec.key2, &exact);
+    if (!exact) node.Insert(rec.key2, new_pid);
+  } else {
+    // Replacement.
+    int pos = node.LowerBound(rec.key, &exact);
+    if (exact) {
+      if (rec.key == rec.key2) {
+        node.SetChildAt(pos, new_pid);
+      } else {
+        node.RemoveAt(pos);
+        node.LowerBound(rec.key2, &exact);
+        if (!exact) node.Insert(rec.key2, new_pid);
+      }
+    }
+  }
+  base->set_page_lsn(rec.lsn);
+}
+
+Status ApplyLoggedMove(BufferPool* bp, const LogRecord& rec) {
+  Page* org;
+  Status s = bp->FetchPage(rec.page_id, &org);
+  if (!s.ok()) return s;
+  Page* dest;
+  s = bp->FetchPage(rec.page_id2, &dest);
+  if (!s.ok()) {
+    bp->UnpinPage(rec.page_id, false);
+    return s;
+  }
+  s = (rec.flags & kSwapImages)
+          ? ApplyReorgSwap(bp, rec, org, true, dest, true)
+          : ApplyReorgMove(bp, rec, org, true, dest, true);
+  bp->UnpinPage(rec.page_id, true);
+  bp->UnpinPage(rec.page_id2, true);
+  return s;
+}
+
+Status ReorgCompensation(BufferPool* bp, const LogRecord& rec,
+                         LogRecord* comp) {
+  *comp = LogRecord();
+  switch (rec.type) {
+    case LogType::kAllocPage:
+    case LogType::kDeallocPage:
+      comp->type = rec.type == LogType::kAllocPage ? LogType::kDeallocPage
+                                                   : LogType::kAllocPage;
+      comp->page_id = rec.page_id;
+      return Status::OK();
+    case LogType::kReorgModify:
+      *comp = ModifyRecord(rec.page_id, rec.key2, DecodePid(rec.value2),
+                           rec.key, DecodePid(rec.value));
+      return Status::OK();
+    case LogType::kReorgMove:
+      break;
+    default:
+      return Status::NotSupported("record needs no compensation");
+  }
+  comp->type = LogType::kReorgMove;
+  const bool swap = (rec.flags & kSwapImages) != 0;
+  // A swap reads page a; a MOVE's records now live in its dest.
+  const PageId read = swap ? rec.page_id : rec.page_id2;
+  Page* page;
+  Status s = bp->FetchPage(read, &page);
+  if (!s.ok()) return s;
+  std::shared_lock<PageLatch> latch(page->latch());
+  if (swap) {
+    comp->flags = kSwapImages;
+    comp->page_id = rec.page_id;
+    comp->page_id2 = rec.page_id2;
+    SlottedPage sp(page);
+    comp->payload = PackCellRange(sp, 0, sp.slot_count());
+  } else {
+    // The reverse MOVE carries full records, so its redo needs no page to
+    // keep an old image: the page it refills may since have been freed.
+    std::vector<std::string> keys;
+    if (rec.flags & kMoveKeysOnly) {
+      s = DecodeMovedKeys(rec.payload, &keys);
+    } else {
+      std::vector<std::pair<std::string, std::string>> records;
+      s = DecodeMovedRecords(rec.payload, &records);
+      for (auto& [k, v] : records) keys.push_back(std::move(k));
+    }
+    LeafNode dl(page);
+    std::vector<std::pair<std::string, std::string>> back;
+    for (const std::string& k : keys) {
+      bool exact;
+      int pos = dl.LowerBound(k, &exact);
+      if (exact) back.emplace_back(k, dl.ValueAt(pos).ToString());
+    }
+    comp->page_id = rec.page_id2;
+    comp->page_id2 = rec.page_id;
+    comp->payload = EncodeMovedRecords(back);
+  }
+  latch.unlock();
+  bp->UnpinPage(read, false);
+  return s;
 }
 
 void ReorgTable::BeginUnit(uint32_t unit, Lsn begin_lsn) {

@@ -4,44 +4,7 @@
 #include <map>
 #include <set>
 
-#include "src/util/coding.h"
-
 namespace soreorg {
-
-namespace {
-
-std::string EncodePid(PageId pid) {
-  std::string s;
-  PutFixed32(&s, pid);
-  return s;
-}
-
-std::vector<std::string> ReadAllCells(Page* page) {
-  SlottedPage sp(page);
-  std::vector<std::string> cells;
-  cells.reserve(sp.slot_count());
-  for (int i = 0; i < sp.slot_count(); ++i) {
-    cells.push_back(sp.GetCell(i).ToString());
-  }
-  return cells;
-}
-
-void WriteAllCells(Page* page, const std::vector<std::string>& cells) {
-  SlottedPage sp(page);
-  sp.Clear();
-  for (size_t i = 0; i < cells.size(); ++i) {
-    sp.InsertCell(static_cast<int>(i), cells[i]);
-  }
-}
-
-std::string PackCells(const std::vector<std::string>& cells) {
-  std::string out;
-  PutVarint32(&out, static_cast<uint32_t>(cells.size()));
-  for (const std::string& c : cells) PutLengthPrefixedSlice(&out, c);
-  return out;
-}
-
-}  // namespace
 
 SwapPass::SwapPass(ReorgContext* ctx, LeafCompactor* compactor,
                    SwapPassOptions opts)
@@ -200,38 +163,21 @@ Status SwapPass::SwapUnit(uint32_t unit, PageId a, PageId b, bool resume) {
 }
 
 Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
-  const TxnId id = kReorgTxnId;
-  LockManager* locks = ctx_->locks;
   BufferPool* bp = ctx_->bp;
-
-  std::vector<LockName> held;
-  auto lock = [&](const LockName& name, LockMode mode) -> Status {
-    Status s = locks->Lock(id, name, mode);
-    if (s.ok()) held.push_back(name);
-    return s;
-  };
-  auto release_all = [&]() {
-    for (auto it = held.rbegin(); it != held.rend(); ++it) {
-      locks->Unlock(id, *it);
-    }
-    held.clear();
-  };
+  UnitLocks held(ctx_->locks);
 
   // --- base pages ------------------------------------------------------------
   PageId base_a;
   Status s = FindAndLockBaseOf(a, &base_a);
   if (!s.ok()) return s;
-  held.push_back(PageLock(base_a));
+  held.Adopt(PageLock(base_a));
 
   PageId base_b = base_a;
   bool b_same_base;
   {
     Page* bpg;
     s = bp->FetchPage(base_a, &bpg);
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
+    if (!s.ok()) return s;
     std::shared_lock<PageLatch> latch(bpg->latch());
     InternalNode base(bpg);
     b_same_base = base.FindChildSlot(b) >= 0;
@@ -239,38 +185,26 @@ Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
   }
   if (!b_same_base) {
     s = FindAndLockBaseOf(b, &base_b);
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
-    held.push_back(PageLock(base_b));
+    if (!s.ok()) return s;
+    held.Adopt(PageLock(base_b));
   }
 
   // --- leaves + neighbors ------------------------------------------------------
-  s = lock(PageLock(a), LockMode::kRX);
-  if (s.ok()) s = lock(PageLock(b), LockMode::kRX);
-  if (!s.ok()) {
-    release_all();
-    return s;
-  }
+  s = held.Lock(PageLock(a), LockMode::kRX);
+  if (s.ok()) s = held.Lock(PageLock(b), LockMode::kRX);
+  if (!s.ok()) return s;
 
   PageId pa = kInvalidPageId, na = kInvalidPageId;
   PageId pb = kInvalidPageId, nb = kInvalidPageId;
   if (ctx_->tree->options().side_pointers != SidePointerMode::kNone) {
     Page* pg;
     s = bp->FetchPage(a, &pg);
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
+    if (!s.ok()) return s;
     pa = pg->prev();
     na = pg->next();
     bp->UnpinPage(a, false);
     s = bp->FetchPage(b, &pg);
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
+    if (!s.ok()) return s;
     pb = pg->prev();
     nb = pg->next();
     bp->UnpinPage(b, false);
@@ -293,11 +227,8 @@ Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
         if (node.FindChildSlot(n) >= 0) same_base = true;
         bp->UnpinPage(base, false);
       }
-      s = lock(PageLock(n), same_base ? LockMode::kRX : LockMode::kX);
-      if (!s.ok()) {
-        release_all();
-        return s;
-      }
+      s = held.Lock(PageLock(n), same_base ? LockMode::kRX : LockMode::kX);
+      if (!s.ok()) return s;
     }
   }
 
@@ -309,14 +240,11 @@ Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
     BufferPool::ApplyScope apply_scope(bp);
     LogRecord begin;
     begin.type = LogType::kReorgBegin;
-    begin.txn_id = id;
-    begin.unit = unit;
     begin.unit_type = static_cast<uint8_t>(ReorgUnitType::kSwap);
     std::vector<PageId> bases{base_a};
     if (base_b != base_a) bases.push_back(base_b);
     begin.payload = EncodeBeginPages(bases, {a, b});
-    ctx_->log->Append(&begin);
-    ctx_->table->BeginUnit(unit, begin.lsn);
+    ctx_->Log(unit, &begin);
   }
 
   // On resume, detect whether the content swap already happened (the crash
@@ -327,10 +255,7 @@ Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
   if (resume) {
     Page* bpg;
     s = bp->FetchPage(base_a, &bpg);
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
+    if (!s.ok()) return s;
     int slot_a;
     std::string sep_a;
     {
@@ -343,10 +268,7 @@ Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
     if (slot_a >= 0) {
       Page* pga;
       s = bp->FetchPage(a, &pga);
-      if (!s.ok()) {
-        release_all();
-        return s;
-      }
+      if (!s.ok()) return s;
       std::string first_a;
       {
         std::shared_lock<PageLatch> latch(pga->latch());
@@ -361,84 +283,54 @@ Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
   }
 
   // --- the swap itself (one atomic record; full image of page a) ---------------
+  // A swap is its own inverse: swapping a and b again, with a's image as it
+  // is then, undoes it. So the forward swap and its deadlock undo log the
+  // same compensation-built record, a swap whose image is a's current cells.
+  LogRecord swap;
+  swap.type = LogType::kReorgMove;
+  swap.page_id = a;
+  swap.page_id2 = b;
+  swap.flags = kSwapImages;
   auto do_swap = [&]() -> Status {
-    Page* page_a;
-    Page* page_b;
-    Status ss = bp->FetchPage(a, &page_a);
+    LogRecord rec;
+    Status ss = ReorgCompensation(bp, swap, &rec);
     if (!ss.ok()) return ss;
-    ss = bp->FetchPage(b, &page_b);
-    if (!ss.ok()) {
-      bp->UnpinPage(a, false);
-      return ss;
-    }
-    std::vector<std::string> cells_a, cells_b;
-    {
-      std::shared_lock<PageLatch> la(page_a->latch());
-      cells_a = ReadAllCells(page_a);
-    }
-    {
-      std::shared_lock<PageLatch> lb(page_b->latch());
-      cells_b = ReadAllCells(page_b);
+    size_t cells = 0;
+    for (PageId pid : {a, b}) {
+      Page* pg;
+      ss = bp->FetchPage(pid, &pg);
+      if (!ss.ok()) return ss;
+      {
+        std::shared_lock<PageLatch> latch(pg->latch());
+        cells += SlottedPage(pg).slot_count();
+      }
+      bp->UnpinPage(pid, false);
     }
     BufferPool::ApplyScope apply_scope(bp);
-    LogRecord move;
-    move.type = LogType::kReorgMove;
-    move.txn_id = id;
-    move.unit = unit;
-    move.prev_lsn = ctx_->table->recent_lsn();
-    move.page_id = a;
-    move.page_id2 = b;
-    move.flags = kSwapImages;
-    move.payload = PackCells(cells_a);
-    ctx_->log->Append(&move);
-    ctx_->table->RecordLsn(move.lsn);
-    // Careful-writing order (§6.1): b (which now holds a's old image) must
-    // not reach disk before a is durable. The edge goes in BEFORE either
-    // page's bytes change — once b's post-swap image exists, any flusher
-    // may pick it up, and without the edge it could reach disk with a
-    // still stale, which is exactly the state swap redo refuses to repair.
-    bp->AddWriteOrder(a, b);
-    {
-      std::unique_lock<PageLatch> la(page_a->latch());
-      WriteAllCells(page_a, cells_b);
-      page_a->set_page_lsn(move.lsn);
-    }
-    {
-      std::unique_lock<PageLatch> lb(page_b->latch());
-      WriteAllCells(page_b, cells_a);
-      page_b->set_page_lsn(move.lsn);
-    }
-    bp->UnpinPage(a, true);
-    bp->UnpinPage(b, true);
-    ctx_->stats->records_moved += cells_a.size() + cells_b.size();
+    ctx_->Log(unit, &rec);
+    ss = ApplyLoggedMove(bp, rec);
+    if (!ss.ok()) return ss;
+    ctx_->stats->records_moved += cells;
     return Status::OK();
   };
   if (!skip_swap) {
     s = do_swap();
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
+    if (!s.ok()) return s;
   }
 
   // --- upgrade base locks to X ---------------------------------------------------
-  Status up = locks->Lock(id, PageLock(base_a), LockMode::kX);
+  Status up = ctx_->locks->Lock(kReorgTxnId, PageLock(base_a), LockMode::kX);
   if (up.ok() && base_b != base_a) {
-    up = locks->Lock(id, PageLock(base_b), LockMode::kX);
+    up = ctx_->locks->Lock(kReorgTxnId, PageLock(base_b), LockMode::kX);
   }
   if (!up.ok()) {
-    // Undo-at-deadlock: a swap is self-inverse.
+    // Undo-at-deadlock: swap back.
     do_swap();
     BufferPool::ApplyScope apply_scope(bp);
     LogRecord end;
     end.type = LogType::kReorgEnd;
-    end.txn_id = id;
-    end.unit = unit;
-    end.prev_lsn = ctx_->table->recent_lsn();
     end.key = ctx_->table->largest_finished_key();
-    Status flushed = ctx_->log->AppendAndFlush(&end);
-    ctx_->table->EndUnit(end.key);
-    release_all();
+    Status flushed = ctx_->Log(unit, &end);
     if (!flushed.ok()) return flushed;
     return Status::Deadlock("swap base upgrade deadlock");
   }
@@ -447,39 +339,22 @@ Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
   // Locate both entries FIRST, then flip them — flipping one at a time
   // would make the second lookup find the freshly flipped entry when both
   // leaves share a base page.
-  auto set_child = [&](PageId base, Page* bpg, int slot,
-                       PageId to) {
+  auto set_child = [&](PageId base, Page* bpg, int slot, PageId to) {
     InternalNode node(bpg);
-    std::string sep = node.KeyAt(slot).ToString();
-    PageId from = node.ChildAt(slot);
-    LogRecord mod;
-    mod.type = LogType::kReorgModify;
-    mod.txn_id = id;
-    mod.unit = unit;
-    mod.prev_lsn = ctx_->table->recent_lsn();
-    mod.page_id = base;
-    mod.key = sep;
-    mod.value = EncodePid(from);
-    mod.key2 = sep;
-    mod.value2 = EncodePid(to);
-    ctx_->log->Append(&mod);
-    ctx_->table->RecordLsn(mod.lsn);
-    node.SetChildAt(slot, to);
-    bpg->set_page_lsn(mod.lsn);
+    LogRecord mod = ModifyRecord(base, node.KeyAt(slot), node.ChildAt(slot),
+                                 node.KeyAt(slot), to);
+    ctx_->Log(unit, &mod);
+    ApplyReorgModify(mod, bpg);
   };
   {
     Page* pg_a;
     s = bp->FetchPage(base_a, &pg_a);
-    if (!s.ok()) {
-      release_all();
-      return s;
-    }
+    if (!s.ok()) return s;
     Page* pg_b = pg_a;
     if (base_b != base_a) {
       s = bp->FetchPage(base_b, &pg_b);
       if (!s.ok()) {
         bp->UnpinPage(base_a, false);
-        release_all();
         return s;
       }
     }
@@ -512,14 +387,10 @@ Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
       BufferPool::ApplyScope apply_scope(bp);
       LogRecord link;
       link.type = LogType::kLinkPage;
-      link.txn_id = id;
-      link.unit = unit;
-      link.prev_lsn = ctx_->table->recent_lsn();
       link.page_id = pid;
       link.page_id2 = prev;
       link.page_id3 = next;
-      ctx_->log->Append(&link);
-      ctx_->table->RecordLsn(link.lsn);
+      ctx_->Log(unit, &link);
       std::unique_lock<PageLatch> latch(pg->latch());
       pg->SetPrev(prev);
       pg->SetNext(next);
@@ -530,36 +401,24 @@ Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
     // Page b now sits at a's key position and vice versa.
     set_links(b, swap_ab(pa), swap_ab(na));
     set_links(a, swap_ab(pb), swap_ab(nb));
-    if (pa != kInvalidPageId && pa != a && pa != b) {
+    // Re-point the outside neighbours: a's prev and next now link to b, b's
+    // to a. Each keeps its pointer on the far side, read as it is now.
+    struct Relink {
+      PageId page;
+      bool is_prev;  // the page precedes the swapped leaf
+      PageId to;
+    };
+    for (const Relink& r : {Relink{pa, true, b}, Relink{na, false, b},
+                            Relink{pb, true, a}, Relink{nb, false, a}}) {
+      if (r.page == kInvalidPageId || r.page == a || r.page == b) continue;
       Page* pg;
-      if (bp->FetchPage(pa, &pg).ok()) {
-        PageId keep_prev = pg->prev();
-        bp->UnpinPage(pa, false);
-        set_links(pa, keep_prev, b);
-      }
-    }
-    if (na != kInvalidPageId && na != a && na != b) {
-      Page* pg;
-      if (bp->FetchPage(na, &pg).ok()) {
-        PageId keep_next = pg->next();
-        bp->UnpinPage(na, false);
-        set_links(na, b, keep_next);
-      }
-    }
-    if (pb != kInvalidPageId && pb != a && pb != b) {
-      Page* pg;
-      if (bp->FetchPage(pb, &pg).ok()) {
-        PageId keep_prev = pg->prev();
-        bp->UnpinPage(pb, false);
-        set_links(pb, keep_prev, a);
-      }
-    }
-    if (nb != kInvalidPageId && nb != a && nb != b) {
-      Page* pg;
-      if (bp->FetchPage(nb, &pg).ok()) {
-        PageId keep_next = pg->next();
-        bp->UnpinPage(nb, false);
-        set_links(nb, a, keep_next);
+      if (!bp->FetchPage(r.page, &pg).ok()) continue;
+      PageId keep = r.is_prev ? pg->prev() : pg->next();
+      bp->UnpinPage(r.page, false);
+      if (r.is_prev) {
+        set_links(r.page, keep, r.to);
+      } else {
+        set_links(r.page, r.to, keep);
       }
     }
   }
@@ -568,17 +427,10 @@ Status SwapPass::SwapUnitOnce(uint32_t unit, PageId a, PageId b, bool resume) {
   BufferPool::ApplyScope end_scope(bp);
   LogRecord end;
   end.type = LogType::kReorgEnd;
-  end.txn_id = id;
-  end.unit = unit;
-  end.prev_lsn = ctx_->table->recent_lsn();
   end.key = ctx_->table->largest_finished_key();
-  Status flushed = ctx_->log->AppendAndFlush(&end);
-  ctx_->table->EndUnit(end.key);
+  Status flushed = ctx_->Log(unit, &end);
   ++ctx_->stats->units;
   ++ctx_->stats->swap_units;
-  if (resume) ++ctx_->stats->units_resumed;
-
-  release_all();
   return flushed;
 }
 

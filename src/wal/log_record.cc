@@ -68,6 +68,16 @@ Status LogRecord::Parse(Slice in, LogRecord* rec) {
   return Status::OK();
 }
 
+std::string EncodePid(PageId pid) {
+  std::string s;
+  PutFixed32(&s, pid);
+  return s;
+}
+
+PageId DecodePid(const Slice& s) {
+  return s.size() == 4 ? DecodeFixed32(s.data()) : kInvalidPageId;
+}
+
 const char* LogTypeName(LogType t) {
   switch (t) {
     case LogType::kInvalid:

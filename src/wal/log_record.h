@@ -134,6 +134,11 @@ constexpr uint8_t kSwapImages = 0x8;
 
 const char* LogTypeName(LogType t);
 
+/// A page id carried in a record's value fields (MODIFY, split and free
+/// records) as fixed32. DecodePid reads any other length as kInvalidPageId.
+std::string EncodePid(PageId pid);
+PageId DecodePid(const Slice& s);
+
 }  // namespace soreorg
 
 #endif  // SOREORG_WAL_LOG_RECORD_H_
